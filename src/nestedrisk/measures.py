@@ -112,8 +112,7 @@ class HigherOrderFamily:
                 return u + c * np.maximum(0.0, x[:, 0] - u)
             return CompositeSpec(
                 DimSignature(1, 0, (1,)),
-                (LayerFn(1, f1_plain, None, LipschitzBound(c, 1.0),
-                         powermax=PowerMaxForm(1.0, lambda eta, x: x[:, 0] - u)),),
+                (LayerFn(1, f1_plain, None, LipschitzBound(c, 1.0)),),
                 label + f" @u={u:g}")
 
         def f2(x):

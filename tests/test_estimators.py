@@ -136,6 +136,24 @@ def test_mixed_gaussian_kernel_quadrature_path():
     assert est.chain.eta[1][0] >= emp.chain.eta[1][0] - 1e-12
 
 
+@pytest.mark.parametrize("family", ["uniform", "gaussian", "epanechnikov"])
+def test_higher_order_p1_layer_smooths_its_own_evaluator(family):
+    # the single p = 1 layer is u + c (x - u)_+, not a bare tail power, so
+    # every kernel must convolve the evaluator itself
+    c, u = 4.0, 11.0
+    spec = nr.make_higher_order_family(nr.MeasureParams(c=c, p=1.0))(u)
+    s = nr.sample(nr.SamplerConfig(nr.Normal(10.0, np.sqrt(3.0)), 1), 200)
+    plan = nr.SmoothingPlan(frozenset({1}), nr.KernelSpec(family, 1, 2.0),
+                            nr.BandwidthSchedule("silverman"))
+    rule = plan.kernel.convolution_rule(plan.convolution_nodes)
+    h = nr.bandwidth(plan.schedule, s.n, s.std_scale())
+    shifted = s.data[:, 0][:, None] + h * rule.nodes[:, 0][None, :]
+    quad = np.mean((u + c * np.maximum(0.0, shifted - u)) @ rule.weights)
+    got = nr.estimate_mixed(spec, s, plan).value[0]
+    assert got == pytest.approx(quad, rel=1e-12)
+    assert got > u
+
+
 def test_convolution_node_underflow_rejected():
     with pytest.raises(nr.ConfigError):
         uniform_plan(nodes=2)
