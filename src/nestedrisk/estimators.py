@@ -5,18 +5,22 @@ sample mean over the same sample. The mixed estimator convolves the
 empirical measure with a scaled kernel at a chosen subset J of layers: the
 layer-j mean becomes (1/n) sum_i integral f_j(eta, X_i + z) dmu_h(z), where
 mu_h is the kernel density scaled by the bandwidth h_n. For layers tagged as
-power-max forms the uniform-kernel convolution has a closed form; everything
-else goes through quadrature against the kernel.
+power-max forms with a unit-slope gap in a one-dimensional sample, the
+uniform-kernel convolution has a closed form and the other kernels, at small
+integer powers, sum the quadrature over the sorted gaps; everything else goes
+through quadrature against the kernel on shifted sample rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gamma as gamma_fn
+from functools import lru_cache
+from math import comb, gamma as gamma_fn
 
 import numpy as np
 
-from .core import CompositeSpec, EtaChain, QuadratureRule, _eval_layer, _check_finite, validate_spec
+from .core import (CompositeSpec, EtaChain, PowerMaxForm, QuadratureRule, _check_finite,
+                   _eval_layer, validate_spec)
 from .errors import ConfigError, EvaluationError
 
 _KERNEL_FAMILIES = ("uniform", "gaussian", "epanechnikov")
@@ -35,19 +39,29 @@ def _abs_moment_1d(family: str, q: float) -> float:
     raise ConfigError(f"unknown kernel family {family!r}")
 
 
+@lru_cache(maxsize=32)
 def _kernel_nodes_1d(family: str, count: int):
-    """Nodes/weights integrating g against the kernel density in one dim."""
+    """Nodes/weights integrating g against the kernel density in one dim.
+
+    The rules are symmetric (z -> -z keeps the weights) and cached, so the
+    arrays are returned read-only.
+    """
     if count < 3:
         raise ConfigError("convolution requires at least 3 nodes")
     if family == "gaussian":
         z, w = np.polynomial.hermite_e.hermegauss(count)
-        return z, w / np.sqrt(2 * np.pi)
-    z, w = np.polynomial.legendre.leggauss(count)
-    if family == "uniform":
-        return z, w * 0.5
-    if family == "epanechnikov":
-        return z, w * 0.75 * (1.0 - z * z)
-    raise ConfigError(f"unknown kernel family {family!r}")
+        w = w / np.sqrt(2 * np.pi)
+    else:
+        z, w = np.polynomial.legendre.leggauss(count)
+        if family == "uniform":
+            w = w * 0.5
+        elif family == "epanechnikov":
+            w = w * 0.75 * (1.0 - z * z)
+        else:
+            raise ConfigError(f"unknown kernel family {family!r}")
+    z.flags.writeable = False
+    w.flags.writeable = False
+    return z, w
 
 
 @dataclass(frozen=True)
@@ -233,12 +247,90 @@ def estimate_empirical(spec: CompositeSpec, sample: Sample) -> EstimateReport:
     return EstimateReport(chain.value, chain, None, sample.n)
 
 
+# Largest power the sorted branch expands binomially; the smoothed second
+# moment of a p <= 4 layer needs 2p.
+_SORTED_MAX_POWER = 8
+# An offset whose expansion terms outweigh its sum by more than this factor
+# loses digits to cancellation and is summed directly instead.
+_CANCELLATION_LIMIT = 64.0
+
+
 def _powermax_uniform_mean(gap: np.ndarray, p: float, h: float) -> float:
     """Mean over the sample of the uniform-kernel convolution of
     (max(0, gap + z))^p, z ~ U(-h, h): the tail-power closed form."""
     up = np.maximum(0.0, gap + h) ** (p + 1.0)
     dn = np.maximum(0.0, gap - h) ** (p + 1.0)
     return float(np.sum(up - dn) / (2.0 * gap.shape[0] * (p + 1.0) * h))
+
+
+def _powermax_tail_sums(gap: np.ndarray, p: int, offsets: np.ndarray) -> np.ndarray:
+    """sum_i (max(0, gap_i - t))^p for every offset t.
+
+    Sorts the gaps once and keeps suffix sums of g^0..g^p, so each offset
+    costs a binary search and the binomial expansion of (g - t)^p over the
+    gaps above t: O(n log n + q log n) time and O(p n) memory. Suffix sums
+    of |g|^r bound the expansion's terms; an offset where they outweigh the
+    sum beyond _CANCELLATION_LIMIT (gaps bunched just above t, far from 0)
+    is summed directly over its gaps.
+    """
+    ascending = np.sort(gap)
+    g = ascending[::-1]
+    n = g.shape[0]
+    powers = np.ones((p + 1, n))
+    for r in range(1, p + 1):
+        powers[r] = powers[r - 1] * g
+    # top[r, c] and top_abs[r, c] sum g^r and |g|^r over the c largest gaps
+    top = np.zeros((p + 1, n + 1))
+    np.cumsum(powers, axis=1, out=top[:, 1:])
+    top_abs = top.copy()
+    np.cumsum(np.abs(powers[1::2]), axis=1, out=top_abs[1::2, 1:])
+    count = n - np.searchsorted(ascending, offsets, side="right")  # gaps > t
+    r = np.arange(p + 1)[:, None]
+    coef = np.array([[comb(p, k)] for k in range(p + 1)]) * (-offsets) ** (p - r)
+    sums = np.sum(coef * top[:, count], axis=0)
+    bound = np.sum(np.abs(coef) * top_abs[:, count], axis=0)
+    for k in np.flatnonzero(bound > _CANCELLATION_LIMIT * sums):
+        sums[k] = np.sum((g[:count[k]] - offsets[k]) ** p)
+    return sums
+
+
+def _powermax_smoothed_mean(pm: PowerMaxForm, j: int, eta: np.ndarray | None,
+                            sample: Sample, plan: SmoothingPlan, h: float,
+                            power: float) -> float | None:
+    """Kernel-smoothed sample mean of (max(0, gap))^power at layer j, tagged
+    ``pm``, or None when the layer must go through quadrature on shifted rows.
+
+    Needs a unit-slope gap in a one-dimensional sample. The uniform
+    kernel has a closed form for any power; the other kernels sum the same
+    quadrature over the sorted gaps for integer powers 1.._SORTED_MAX_POWER.
+    Their rules are symmetric, so (gap + h z) may be read as (gap - h z)
+    whatever the sign of the slope. A non-finite result names the first
+    sample row whose own smoothed value is non-finite.
+    """
+    if not pm.unit_slope or sample.m != 1:
+        return None
+    uniform = plan.kernel.family == "uniform"
+    if not uniform and not (float(power).is_integer()
+                            and 1 <= power <= _SORTED_MAX_POWER):
+        return None
+    gap = np.asarray(pm.gap(eta, sample.data), dtype=float).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if uniform:
+            mean = _powermax_uniform_mean(gap, power, h)
+        else:
+            z, w = _kernel_nodes_1d(plan.kernel.family, plan.convolution_nodes)
+            mean = float(w @ _powermax_tail_sums(gap, int(power), h * z)) / gap.shape[0]
+        if np.isfinite(mean):
+            return mean
+        # per-row values, computed only to name the failing row
+        if uniform:
+            rows = (np.maximum(0.0, gap + h) ** (power + 1.0)
+                    - np.maximum(0.0, gap - h) ** (power + 1.0))
+        else:
+            rows = np.maximum(0.0, gap[:, None] - h * z[None, :]) ** power @ w
+    bad = np.flatnonzero(~np.isfinite(rows))
+    raise EvaluationError("non-finite smoothed layer mean", layer=j,
+                          sample_index=int(bad[0]) if bad.size else None)
 
 
 def uniform_kernel_powermax(sample: Sample, u: float, p: float, h: float) -> float:
@@ -259,20 +351,18 @@ def uniform_kernel_powermax(sample: Sample, u: float, p: float, h: float) -> flo
 
 def _smoothed_layer_mean(spec: CompositeSpec, j: int, eta: np.ndarray | None,
                          sample: Sample, plan: SmoothingPlan, h: float) -> np.ndarray:
-    layer = spec.layer(j)
-    pm = layer.powermax
-    if (pm is not None and pm.unit_slope and sample.m == 1
-            and plan.kernel.family == "uniform"):
-        gap = np.asarray(pm.gap(eta, sample.data), dtype=float).reshape(-1)
-        return np.array([_powermax_uniform_mean(gap, pm.power, h)])
+    pm = spec.layer(j).powermax
+    if pm is not None:
+        mean = _powermax_smoothed_mean(pm, j, eta, sample, plan, h, pm.power)
+        if mean is not None:
+            return np.array([mean])
     rule = plan.kernel.convolution_rule(plan.convolution_nodes)
     offsets = rule.nodes * h                      # (q, m)
     x = sample.data                               # (n, m)
     n, q = x.shape[0], offsets.shape[0]
     shifted = (x[:, None, :] + offsets[None, :, :]).reshape(n * q, sample.m)
-    vals = _eval_layer(spec, j, eta, shifted)
-    _check_finite(vals, j)
-    vals = vals.reshape(n, q, -1)
+    vals = _eval_layer(spec, j, eta, shifted).reshape(n, q, -1)
+    _check_finite(vals.reshape(n, -1), j)
     per_sample = np.einsum("q,nqd->nd", rule.weights, vals)
     return per_sample.mean(axis=0)
 

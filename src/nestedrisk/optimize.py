@@ -18,7 +18,7 @@ from .core import (CompositeSpec, DistributionOracle, eval_exact_chain,
                    layer_jacobian, validate_spec)
 from .errors import ConfigError, EvaluationError
 from .estimators import (Sample, SmoothingPlan, _empirical_chain, _mixed_chain,
-                         bandwidth)
+                         _powermax_smoothed_mean, bandwidth)
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -170,20 +170,18 @@ def _smoothed_inner_moments(spec: CompositeSpec, sample: Sample,
                             plan: SmoothingPlan):
     """Kernel-smoothed inner mean and covariance for a 2-level spec.
 
-    The smoothed second moment of a power-max layer under the uniform kernel
-    is the closed form at doubled power; otherwise both moments go through
-    convolution quadrature.
+    The smoothed second moment of a power-max layer is its smoothed mean at
+    doubled power, so both moments take the power-max dispatch when it
+    applies at p and 2p; otherwise both go through convolution quadrature.
     """
-    from .estimators import _powermax_uniform_mean
     h = bandwidth(plan.schedule, sample.n, sample.std_scale())
-    layer = spec.layer(2)
-    pm = layer.powermax
-    if (pm is not None and pm.unit_slope and sample.m == 1
-            and plan.kernel.family == "uniform"):
-        gap = np.asarray(pm.gap(None, sample.data), dtype=float).reshape(-1)
-        mean = _powermax_uniform_mean(gap, pm.power, h)
-        second = _powermax_uniform_mean(gap, 2.0 * pm.power, h)
-        return np.array([mean]), np.array([[second - mean ** 2]])
+    pm = spec.layer(2).powermax
+    if pm is not None:
+        mean = _powermax_smoothed_mean(pm, 2, None, sample, plan, h, pm.power)
+        second = None if mean is None else _powermax_smoothed_mean(
+            pm, 2, None, sample, plan, h, 2.0 * pm.power)
+        if second is not None:
+            return np.array([mean]), np.array([[second - mean ** 2]])
     rule = plan.kernel.convolution_rule(plan.convolution_nodes)
     offsets = rule.nodes * h
     x = sample.data

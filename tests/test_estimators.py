@@ -1,5 +1,9 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import nestedrisk as nr
 from nestedrisk.estimators import _kernel_nodes_1d
@@ -159,6 +163,129 @@ def test_convolution_node_underflow_rejected():
         uniform_plan(nodes=2)
     with pytest.raises(nr.ConfigError):
         _kernel_nodes_1d("uniform", 2)
+
+
+# --- power-max fast paths ---------------------------------------------------------
+
+def _untagged(spec):
+    """The same spec without power-max tags: every smoothed layer goes
+    through quadrature on shifted rows."""
+    return replace(spec, layers=tuple(replace(lay, powermax=None)
+                                      for lay in spec.layers))
+
+
+def _tail_sample(kind, n, rng):
+    if kind == "normal":
+        return rng.normal(10.0, np.sqrt(3.0), size=n)
+    if kind == "shifted":
+        return rng.normal(size=n) + 1e4
+    if kind == "heavy":
+        return rng.standard_t(1.5, size=n)
+    if kind == "ties":
+        return rng.integers(0, 4, size=n).astype(float)
+    return np.full(n, 3.0)
+
+
+@pytest.mark.parametrize("family", ["uniform", "gaussian", "epanechnikov"])
+@pytest.mark.parametrize("count", [3, 64, 65])
+def test_kernel_rules_symmetric_cached_and_read_only(family, count):
+    # the power-max fast paths read (gap + h z) as (gap - h z), which needs
+    # z -> -z to keep the weights
+    z, w = _kernel_nodes_1d(family, count)
+    assert np.array_equal(z, -z[::-1]) and np.array_equal(w, w[::-1])
+    assert _kernel_nodes_1d(family, count)[0] is z
+    assert not z.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+@pytest.mark.parametrize("kind", ["normal", "shifted", "heavy", "ties", "constant"])
+@pytest.mark.parametrize("family", ["gaussian", "epanechnikov"])
+@given(p=st.sampled_from([2, 3, 4]), n=st.sampled_from([1, 2, 30, 2000]),
+       measure=st.sampled_from(["semideviation", "higher_order"]),
+       scale=st.sampled_from([0.05, 0.5, 2.0]), seed=st.integers(0, 2**32 - 1))
+def test_sorted_powermax_branch_equals_quadrature(family, kind, p, n, measure,
+                                                  scale, seed):
+    x = _tail_sample(kind, n, np.random.default_rng(seed))
+    if measure == "semideviation":      # gap eta - x, slope -1
+        spec = nr.make_mean_semideviation(nr.MeasureParams(kappa=0.5, p=float(p)))
+    else:                               # gap x - u, slope +1
+        fam = nr.make_higher_order_family(nr.MeasureParams(c=4.0, p=float(p)))
+        spec = fam(float(np.quantile(x, 0.7)))
+    s = nr.Sample(x)
+    plan = nr.SmoothingPlan(frozenset({2}), nr.KernelSpec(family, 1, 2.0),
+                            nr.BandwidthSchedule("power", scale, 0.2))
+    fast = nr.estimate_mixed(spec, s, plan)
+    slow = nr.estimate_mixed(_untagged(spec), s, plan)
+    at = spec.k - 1                     # position of layer 2 in the chain
+    inner, inner_q = fast.chain.eta[at][0], slow.chain.eta[at][0]
+
+    # direct quadrature over the gaps themselves
+    h = nr.bandwidth(plan.schedule, n)
+    z, w = _kernel_nodes_1d(family, plan.convolution_nodes)
+    eta_in = fast.chain.input_for(2) if spec.k > 1 else None
+    gap = spec.layer(2).powermax.gap(eta_in, s.data)
+    direct = np.mean(np.maximum(0.0, gap[:, None] - h * z[None, :]) ** p @ w)
+    assert abs(inner - direct) <= 1e-12 * direct
+
+    # the quadrature path rounds x + h z before taking the gap; to first
+    # order that moves its mean by at most p * delta / mean^(1/p) relative
+    delta = 4 * np.finfo(float).eps * (2 * np.abs(x).max() + h * z.max())
+    rel = 1e-12 + 2 * p * delta / inner_q ** (1.0 / p)
+    assert abs(inner - inner_q) <= rel * inner_q
+    assert abs(fast.value[0] - slow.value[0]) <= rel * abs(slow.value[0])
+
+
+@pytest.mark.parametrize("p", [4, 8])
+@pytest.mark.parametrize("widths", [3, 6, 9])
+def test_sorted_powermax_branch_far_tail_relative_accuracy(p, widths):
+    # u several bandwidths beyond the sample maximum: the few gaps above each
+    # offset sit just above it, where the binomial expansion alone cancels
+    x = np.random.default_rng(1).normal(size=200)
+    sched = nr.BandwidthSchedule("power", 0.5, 0.2)
+    h = nr.bandwidth(sched, x.shape[0])
+    u = float(x.max() + widths * h)
+    spec = nr.make_higher_order_family(nr.MeasureParams(c=4.0, p=float(p)))(u)
+    plan = nr.SmoothingPlan(frozenset({2}), nr.KernelSpec("gaussian", 1, 2.0), sched)
+    inner = nr.estimate_mixed(spec, nr.Sample(x), plan).chain.eta[0][0]
+    z, w = _kernel_nodes_1d("gaussian", plan.convolution_nodes)
+    direct = np.mean(np.maximum(0.0, (x - u)[:, None] - h * z[None, :]) ** p @ w)
+    assert 0.0 < direct < 1e-8
+    assert abs(inner - direct) <= 1e-12 * direct
+
+
+@pytest.mark.parametrize("family, p, scale", [
+    ("uniform", 200.0, 1e3),          # closed form
+    ("gaussian", 4.0, 1e80),          # sorted branch
+    ("epanechnikov", 4.0, 1e80),      # sorted branch
+])
+def test_powermax_fast_paths_name_layer_and_sample_row(family, p, scale):
+    # rows 1 and 3 overflow; row 1 comes first in sample order but not in
+    # gap order
+    x = np.array([0.5, 2.0 * scale, 0.0, scale])
+    spec = nr.make_higher_order_family(nr.MeasureParams(c=4.0, p=p))(0.0)
+    plan = nr.SmoothingPlan(frozenset({2}), nr.KernelSpec(family, 1, 2.0),
+                            nr.BandwidthSchedule("power", 0.1, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(nr.EvaluationError) as err:
+            nr.estimate_mixed(spec, nr.Sample(x), plan)
+    assert (err.value.layer, err.value.sample_index) == (2, 1)
+    with np.errstate(over="ignore"), pytest.raises(nr.EvaluationError) as emp:
+        nr.estimate_empirical(spec, nr.Sample(x))
+    assert (emp.value.layer, emp.value.sample_index) == (2, 1)
+
+
+def test_quadrature_path_names_sample_row_not_shifted_row():
+    # p = 200 is beyond the sorted branch, so the gaussian kernel evaluates
+    # the layer on n x 64 shifted rows
+    x = np.array([0.5, 2e3, 0.0, 1e3])
+    spec = nr.make_higher_order_family(nr.MeasureParams(c=4.0, p=200.0))(0.0)
+    plan = nr.SmoothingPlan(frozenset({2}), nr.KernelSpec("gaussian", 1, 2.0),
+                            nr.BandwidthSchedule("power", 0.1, 0.5))
+    with np.errstate(over="ignore"), pytest.raises(nr.EvaluationError) as err:
+        nr.estimate_mixed(spec, nr.Sample(x), plan)
+    assert (err.value.layer, err.value.sample_index) == (2, 1)
 
 
 # --- uniform_kernel_powermax ----------------------------------------------------

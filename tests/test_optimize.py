@@ -112,6 +112,25 @@ def test_variance_exact_reference_values():
     assert np.sqrt(vY) == pytest.approx(20.6972, abs=0.05)
 
 
+@pytest.mark.parametrize("family, u, expected", [
+    ("uniform", 11.0, 22.959886168343775),
+    ("uniform", 12.5, 11.330515241259954),
+    ("gaussian", 11.0, 25.847971378030845),
+    ("gaussian", 12.5, 14.264953343883077),
+])
+def test_smoothed_variance_pinned_values(family, u, expected):
+    # values of the plug-in variance recorded when the gaussian plan still
+    # convolved both inner moments on shifted rows
+    x = np.random.default_rng(5).normal(10.0, SQ3, 200)
+    s = nr.Sample(x)
+    plan = nr.SmoothingPlan(frozenset({2}), nr.KernelSpec(family, 1, 2.0),
+                            nr.BandwidthSchedule("silverman"))
+    prob = nr.ScalarProblem(ho_family(c=4.0), nr.default_bracket(s, 4.0),
+                            "mixed-plan", sample=s, plan=plan)
+    v = nr.optimal_value_clt_variance(prob, s, u)
+    assert v == pytest.approx(expected, rel=1e-12)
+
+
 def test_variance_degenerate_tail_raises():
     fam = ho_family()
     s = nr.Sample(np.array([1.0, 2.0, 3.0]))
