@@ -11,11 +11,10 @@ from .asymptotics import (AsymptoticReport, ChainMatrices, SigmaEstimate,
                           confidence_interval, exact_limit_variance,
                           limit_variance, plugin_sigma)
 from .core import (CompositeSpec, DimSignature, Direction, DistributionOracle,
-                   EtaChain, LayerFn, LipschitzBound, PowerMaxForm,
-                   QuadratureRule, ValidationResult, discrete_oracle,
-                   eval_exact_chain, normal_oracle, product_oracle,
-                   propagate_direction, two_point_oracle, uniform_oracle,
-                   validate_spec)
+                   EtaChain, LayerFn, PowerMaxForm, QuadratureRule,
+                   ValidationResult, discrete_oracle, eval_exact_chain,
+                   normal_oracle, product_oracle, propagate_direction,
+                   two_point_oracle, uniform_oracle, validate_spec)
 from .errors import ConfigError, EvaluationError
 from .estimators import (BandwidthSchedule, EstimateReport, IdentityCheck,
                          KernelSpec, Sample, SmoothingPlan, bandwidth,
@@ -30,8 +29,8 @@ from .measures import (HigherOrderFamily, MeasureConfig, MeasureParams,
                        OuterAggregation, PortfolioFamily, SystemicLimitSummary,
                        SystemicSpec, make_higher_order_family,
                        make_mean_semideviation, make_portfolio_semideviation,
-                       measure_to_json, parse_measure, stack_specs,
-                       systemic_limit, systemic_value)
+                       parse_measure, stack_specs, systemic_limit,
+                       systemic_value)
 from .optimize import (OptimalValueReport, ScalarProblem, default_bracket,
                        minimize_scalar, optimal_value_clt_variance,
                        optimal_value_limit_covariance)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .core import CompositeSpec, EtaChain, _eval_layer, layer_jacobian
+from .core import (CompositeSpec, EtaChain, _eval_layer, eval_exact_chain,
+                   layer_jacobian)
 from .errors import ConfigError, EvaluationError
 from .estimators import EstimateReport, Sample
 
@@ -122,22 +123,44 @@ def plugin_sigma(spec: CompositeSpec, sample: Sample, chain: EtaChain) -> SigmaE
     return SigmaEstimate(blocks, full, tuple(int(o) for o in offsets))
 
 
-def chain_matrices(spec: CompositeSpec, sample: Sample, chain: EtaChain,
-                   *, fd_fallback: bool = True) -> ChainMatrices:
-    """Sample means of layer Jacobians and the chain products C_r^T."""
+def _chain_products(spec: CompositeSpec, chain: EtaChain, x: np.ndarray,
+                    weights: np.ndarray | None = None, *,
+                    fd_fallback: bool = True) -> ChainMatrices:
+    """Expected layer Jacobians at the chain point and the products C_r^T.
+
+    The expectation is the mean over the rows of x, or the quadrature sum
+    with ``weights``. A non-finite expectation (a singular gradient, such as
+    eta^(1/p - 1) at eta = 0) raises EvaluationError naming the layer; numpy
+    warnings are silenced while evaluating, so this check is the one report.
+    """
     m0 = spec.signature.m0
     jmeans: list[np.ndarray] = []
     crs: list[np.ndarray] = []
     running = np.eye(m0)
     for j in range(1, spec.k + 1):
-        jac = layer_jacobian(spec, j, chain.input_for(j), sample.data,
-                             fd_fallback=fd_fallback)
-        jmean = jac.mean(axis=0)
+        with np.errstate(all="ignore"):
+            jac = layer_jacobian(spec, j, chain.input_for(j), x,
+                                 fd_fallback=fd_fallback)
+            jmean = jac.mean(axis=0) if weights is None \
+                else np.tensordot(weights, jac, axes=1)
+        if not np.all(np.isfinite(jmean)):
+            raise EvaluationError(
+                "expected Jacobian is non-finite at the chain point "
+                "(singular gradient)", layer=j)
         jmeans.append(jmean)
         running = running @ jmean
         crs.append(running)
-    stacked = np.concatenate([np.eye(m0)] + crs, axis=1) if crs else np.eye(m0)
+    stacked = np.concatenate([np.eye(m0)] + crs, axis=1)
     return ChainMatrices(tuple(jmeans), tuple(crs), stacked)
+
+
+def chain_matrices(spec: CompositeSpec, sample: Sample, chain: EtaChain,
+                   *, fd_fallback: bool = True) -> ChainMatrices:
+    """Sample means of layer Jacobians and the chain products C_r^T.
+
+    Raises EvaluationError naming the layer whose mean Jacobian is
+    non-finite."""
+    return _chain_products(spec, chain, sample.data, fd_fallback=fd_fallback)
 
 
 def limit_variance(sigma: SigmaEstimate, chains: ChainMatrices,
@@ -178,12 +201,15 @@ def confidence_interval(estimate: EstimateReport, report: AsymptoticReport,
 
 def exact_limit_variance(spec: CompositeSpec, oracle) -> np.ndarray:
     """Limit covariance with Sigma_g and the chain matrices computed by
-    quadrature at the exact chain (reference values for simulations)."""
-    from .core import eval_exact_chain
-    if oracle.quadrature is None:
+    quadrature at the exact chain (reference values for simulations).
+
+    Raises EvaluationError naming the layer whose expected Jacobian is
+    non-finite."""
+    if oracle is None or oracle.quadrature is None:
         raise ConfigError("exact_limit_variance needs a quadrature oracle")
     rule = oracle.quadrature
     chain = eval_exact_chain(spec, oracle)
+    ct = _chain_products(spec, chain, rule.nodes, rule.weights).stacked
 
     def stacked_vals(x):
         return _layer_values(spec, x, chain)
@@ -195,18 +221,6 @@ def exact_limit_variance(spec: CompositeSpec, oracle) -> np.ndarray:
         (stacked_vals(x))).reshape(M, M)
     sigma_full = second - np.outer(mean, mean)
     sigma_full = 0.5 * (sigma_full + sigma_full.T)
-
-    m0 = spec.signature.m0
-    running = np.eye(m0)
-    crs = []
-    for j in range(1, spec.k + 1):
-        jmean = rule.integrate(
-            lambda x, j=j: layer_jacobian(spec, j, chain.input_for(j), x)
-            .reshape(x.shape[0], -1)
-        ).reshape(spec.signature.dims[j - 1], spec.signature.dims[j])
-        running = running @ jmean
-        crs.append(running)
-    ct = np.concatenate([np.eye(m0)] + crs, axis=1) if crs else np.eye(m0)
     cov = ct @ sigma_full @ ct.T
     return 0.5 * (cov + cov.T)
 

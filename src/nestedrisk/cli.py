@@ -257,18 +257,17 @@ def cmd_estimate(args) -> int:
 
 def _emit_table(args, table: ReplicationTable, reference: Reference,
                 extra: dict) -> None:
+    summary = None if args.fmt == "csv" and not args.hist_out \
+        else summarize_distribution(table, reference, args.bins)
     if args.fmt == "csv":
         text = table.to_csv()
     else:
-        summary = summarize_distribution(table, reference, args.bins)
         doc = summary_json(summary, table.config)
         doc.update(extra)
         text = dumps_json(doc)
     _write(args, text)
-    if args.hist_out:
-        summary = summarize_distribution(table, reference, args.bins)
-        if summary.histogram is not None:
-            summary.histogram.to_csv(args.hist_out)
+    if args.hist_out and summary.histogram is not None:
+        summary.histogram.to_csv(args.hist_out)
 
 
 def cmd_simulate(args) -> int:

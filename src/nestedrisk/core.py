@@ -64,15 +64,6 @@ class DimSignature:
 
 
 @dataclass(frozen=True)
-class LipschitzBound:
-    """Local Lipschitz metadata for one layer: |f(eta,x+y)-f(eta,x)| grows
-    like constant * max(1, |x|, |y|)^(order-1) * |y|. Documentation only."""
-
-    constant: float
-    order: float
-
-
-@dataclass(frozen=True)
 class PowerMaxForm:
     """Marks a layer of the form (max(0, gap))^power.
 
@@ -100,7 +91,6 @@ class LayerFn:
     index: int
     evaluator: Callable
     jacobian_eta: Callable | None = None
-    lipschitz_bound: LipschitzBound | None = None
     eta_box: tuple[np.ndarray, np.ndarray] | None = None
     powermax: PowerMaxForm | None = None
 

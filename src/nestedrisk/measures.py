@@ -11,7 +11,7 @@ Shipped measures:
   outer mean-semideviation on the finite component space.
 
 Factories attach analytic Jacobians, power-max tags (for closed-form
-uniform-kernel smoothing), probe boxes, and Lipschitz metadata.
+uniform-kernel smoothing), and probe boxes.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import numpy as np
 
 from ._rng import counter_normal
 from .asymptotics import AsymptoticReport
-from .core import (CompositeSpec, DimSignature, LayerFn, LipschitzBound,
-                   PowerMaxForm)
+from .core import CompositeSpec, DimSignature, LayerFn, PowerMaxForm
 from .errors import ConfigError, EvaluationError
 
 
@@ -81,14 +80,10 @@ def make_mean_semideviation(params: MeasureParams) -> CompositeSpec:
         return np.full((x.shape[0], 1, 1), val)
 
     layers = (
-        LayerFn(1, f1, f1_jac,
-                LipschitzBound(constant=1.0, order=1.0),
-                eta_box=(np.array([1e-2]), np.array([50.0]))),
-        LayerFn(2, f2, f2_jac,
-                LipschitzBound(constant=2.0 ** p * p, order=p),
-                eta_box=(np.array([-25.0]), np.array([25.0])),
+        LayerFn(1, f1, f1_jac, eta_box=(np.array([1e-2]), np.array([50.0]))),
+        LayerFn(2, f2, f2_jac, eta_box=(np.array([-25.0]), np.array([25.0])),
                 powermax=PowerMaxForm(p, lambda eta, x: eta[0] - x[:, 0])),
-        LayerFn(3, f3, None, LipschitzBound(constant=1.0, order=1.0)),
+        LayerFn(3, f3),
     )
     label = params.label or f"mean_semideviation(kappa={kappa:g}, p={p:g})"
     return CompositeSpec(DimSignature(1, 2, (1, 1, 1)), layers, label)
@@ -112,7 +107,7 @@ class HigherOrderFamily:
                 return u + c * np.maximum(0.0, x[:, 0] - u)
             return CompositeSpec(
                 DimSignature(1, 0, (1,)),
-                (LayerFn(1, f1_plain, None, LipschitzBound(c, 1.0)),),
+                (LayerFn(1, f1_plain),),
                 label + f" @u={u:g}")
 
         def f2(x):
@@ -126,10 +121,8 @@ class HigherOrderFamily:
             return np.full((x.shape[0], 1, 1), val)
 
         layers = (
-            LayerFn(1, f1, f1_jac, LipschitzBound(constant=1.0, order=1.0),
-                    eta_box=(np.array([1e-3]), np.array([10.0]))),
-            LayerFn(2, f2, None, LipschitzBound(constant=2.0 ** p * p, order=p),
-                    powermax=PowerMaxForm(p, lambda eta, x: x[:, 0] - u)),
+            LayerFn(1, f1, f1_jac, eta_box=(np.array([1e-3]), np.array([10.0]))),
+            LayerFn(2, f2, powermax=PowerMaxForm(p, lambda eta, x: x[:, 0] - u)),
         )
         return CompositeSpec(DimSignature(1, 1, (1, 1)), layers, label + f" @u={u:g}")
 
@@ -175,16 +168,11 @@ class PortfolioFamily:
 
         unit = self.m == 1 and abs(abs(u[0]) - 1.0) < 1e-15
         layers = (
-            LayerFn(1, f1, f1_jac,
-                    LipschitzBound(constant=float(np.linalg.norm(u)), order=1.0),
-                    eta_box=(np.array([1e-2]), np.array([50.0]))),
-            LayerFn(2, f2, f2_jac,
-                    LipschitzBound(constant=2.0 ** p * p, order=p),
-                    eta_box=(np.array([-25.0]), np.array([25.0])),
+            LayerFn(1, f1, f1_jac, eta_box=(np.array([1e-2]), np.array([50.0]))),
+            LayerFn(2, f2, f2_jac, eta_box=(np.array([-25.0]), np.array([25.0])),
                     powermax=PowerMaxForm(p, lambda eta, x: eta[0] - x @ u,
                                           unit_slope=unit)),
-            LayerFn(3, f3, None,
-                    LipschitzBound(constant=float(np.linalg.norm(u)), order=1.0)),
+            LayerFn(3, f3),
         )
         label = self.label or f"portfolio_semideviation(kappa={kappa:g}, p={p:g})"
         return CompositeSpec(DimSignature(self.m, 2, (1, 1, 1)), layers, label)
@@ -420,11 +408,6 @@ def systemic_limit(spec: SystemicSpec, component_report: AsymptoticReport,
 # ---------------------------------------------------------------------------
 # Declarative JSON configuration
 # ---------------------------------------------------------------------------
-
-def measure_to_json(config: "MeasureConfig") -> dict:
-    """Serialize a measure configuration to its JSON document."""
-    return config.to_json()
-
 
 @dataclass(frozen=True)
 class MeasureConfig:

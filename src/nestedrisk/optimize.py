@@ -1,24 +1,27 @@
 """Scalar decision problems embedded in optimized composite functionals.
 
 Minimizes u -> rho[u, X] over a bracket for the shipped convex families
-(deterministic golden-section plus one parabolic refinement) and computes
-the optimal-value CLT variance of the plug-in estimator: with a unique
-minimizer u_hat the limit of sqrt(n)(theta_n - theta) is normal with
-variance grad_eta f1(u_hat, eta_2)^2 * Var[f2(u_hat, X)].
+(deterministic golden-section plus one parabolic refinement). With a unique
+minimizer u_hat the limit of sqrt(n)(theta_n - theta) is normal, and its
+variance is the composite delta method C^T Sigma_g C of ``asymptotics``
+at the spec family(u_hat): exact by quadrature, plug-in from a sample, or,
+for a mixed plan, with the inner mean and covariance smoothed by the plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .core import (CompositeSpec, DistributionOracle, eval_exact_chain,
-                   layer_jacobian, validate_spec)
+from .asymptotics import asymptotic_report, chain_matrices, exact_limit_variance
+from .core import (CompositeSpec, DistributionOracle, EtaChain, _eval_layer,
+                   eval_exact_chain, validate_spec)
 from .errors import ConfigError, EvaluationError
 from .estimators import (Sample, SmoothingPlan, _empirical_chain, _mixed_chain,
-                         _powermax_smoothed_mean, bandwidth)
+                         _smoothed_layer_mean, bandwidth, estimate_empirical)
+from .measures import stack_specs
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -166,99 +169,54 @@ def minimize_scalar(problem: ScalarProblem, tol: float = 1e-8,
                               bool(boundary), bool(flat))
 
 
-def _smoothed_inner_moments(spec: CompositeSpec, sample: Sample,
-                            plan: SmoothingPlan):
-    """Kernel-smoothed inner mean and covariance for a 2-level spec.
+def _mixed_plan_variance(spec: CompositeSpec, sample: Sample,
+                         plan: SmoothingPlan) -> float:
+    """Delta-method variance of a mixed-plan optimal value, grad^T Cov grad,
+    with the kernel-smoothed inner mean and covariance.
 
-    The smoothed second moment of a power-max layer is its smoothed mean at
-    doubled power, so both moments take the power-max dispatch when it
-    applies at p and 2p; otherwise both go through convolution quadrature.
+    The second moment is the smoothed mean of the inner layer's outer
+    product, itself a layer; a power-max layer squared is a power-max layer
+    at 2p, so both moments take the same dispatch in _smoothed_layer_mean.
     """
     h = bandwidth(plan.schedule, sample.n, sample.std_scale())
-    pm = spec.layer(2).powermax
-    if pm is not None:
-        mean = _powermax_smoothed_mean(pm, 2, None, sample, plan, h, pm.power)
-        second = None if mean is None else _powermax_smoothed_mean(
-            pm, 2, None, sample, plan, h, 2.0 * pm.power)
-        if second is not None:
-            return np.array([mean]), np.array([[second - mean ** 2]])
-    rule = plan.kernel.convolution_rule(plan.convolution_nodes)
-    offsets = rule.nodes * h
-    x = sample.data
-    n, q = x.shape[0], offsets.shape[0]
-    shifted = (x[:, None, :] + offsets[None, :, :]).reshape(n * q, sample.m)
-    from .core import _eval_layer
-    vals = _eval_layer(spec, 2, None, shifted).reshape(n, q, -1)
-    mean = np.einsum("q,nqd->d", rule.weights, vals) / n
-    sec = np.einsum("q,nqd,nqe->de", rule.weights, vals, vals) / n
-    return mean, sec - np.outer(mean, mean)
+    inner = spec.layer(2)
 
+    def outer(x):
+        v = _eval_layer(spec, 2, None, x)
+        return (v[:, :, None] * v[:, None, :]).reshape(x.shape[0], -1)
 
-def _variance_ingredients(spec: CompositeSpec, problem: ScalarProblem,
-                          sample: Sample | None):
-    """(grad f1, inner mean, inner covariance) at the plug-in or exact law."""
-    if spec.k == 0:
-        # degenerate family (no composition): variance of the single layer
-        if sample is not None:
-            from .core import _eval_layer
-            vals = _eval_layer(spec, 1, None, sample.data)
-            return None, None, float(np.var(vals[:, 0]))
-        rule = problem.oracle.quadrature
-        from .core import _eval_layer
-        mean = rule.integrate(lambda x: _eval_layer(spec, 1, None, x))[0]
-        second = rule.integrate(lambda x: _eval_layer(spec, 1, None, x)[:, 0] ** 2)[0]
-        return None, None, float(second - mean ** 2)
-    if spec.k != 1:
-        raise ConfigError("optimal-value variance is defined for 2-level families")
-    from .core import _eval_layer
-    if sample is not None:
-        x = sample.data
-        if problem.objective_source == "mixed-plan" and problem.plan is not None:
-            eta2, cov = _smoothed_inner_moments(spec, sample, problem.plan)
-        else:
-            f2 = _eval_layer(spec, 2, None, x)
-            eta2 = f2.mean(axis=0)
-            dev = f2 - eta2
-            cov = dev.T @ dev / x.shape[0]
-        if np.all(eta2 == 0.0):
-            return None, eta2, None
-        jac = layer_jacobian(spec, 1, eta2, x).mean(axis=0)
-        return jac, eta2, cov
-    rule = problem.oracle.quadrature
-    if rule is None:
-        raise ConfigError("exact variance needs a quadrature oracle")
-    eta2 = rule.integrate(lambda x: _eval_layer(spec, 2, None, x))
-    if np.all(eta2 == 0.0):
-        return None, eta2, None
-    second = rule.integrate(
-        lambda x: (lambda v: (v[:, :, None] * v[:, None, :]).reshape(x.shape[0], -1))
-        (_eval_layer(spec, 2, None, x)))
-    d = eta2.shape[0]
-    cov = second.reshape(d, d) - np.outer(eta2, eta2)
-    jac = rule.integrate(
-        lambda x: layer_jacobian(spec, 1, eta2, x).reshape(x.shape[0], -1)
-    ).reshape(spec.signature.m0, d)
-    return jac, eta2, cov
+    pm = inner.powermax
+    squared = replace(inner, evaluator=outer, powermax=None if pm is None
+                      else replace(pm, power=2.0 * pm.power))
+    mean = _smoothed_layer_mean(spec, 2, None, sample, plan, h)
+    second = _smoothed_layer_mean(replace(spec, layers=(spec.layer(1), squared)),
+                                  2, None, sample, plan, h)
+    cov = second.reshape(mean.size, mean.size) - np.outer(mean, mean)
+    # the gradient reads only eta_2 from the chain
+    g = chain_matrices(spec, sample, EtaChain((mean, None))).C_r_T[0]
+    return float((g @ cov @ g.T)[0, 0])
 
 
 def optimal_value_clt_variance(problem: ScalarProblem, sample: Sample | None,
                                u_hat: float) -> float:
     """Delta-method variance of the optimal-value estimator at u_hat.
 
-    With a sample, gradient point and covariance are plug-in estimates; with
-    sample=None the problem's quadrature oracle gives the exact values
-    (useful for reference variances). Raises on a degenerate tail
-    (inner mean zero makes the gradient singular for p > 1).
+    With sample=None the problem's quadrature oracle gives the exact value
+    (exact_limit_variance, useful for reference variances); with a sample it
+    is the plug-in asymptotic_report, except that a mixed-plan problem
+    smooths the inner mean and covariance with its plan. A degenerate tail
+    (inner mean zero, so the gradient is singular for p > 1) raises
+    EvaluationError naming layer 1.
     """
     spec = problem.family(float(u_hat))
-    jac, eta2, cov = _variance_ingredients(spec, problem, sample)
-    if jac is None and eta2 is None:
-        return float(cov)  # k = 0: plain variance of the single layer
-    if jac is None or np.all(eta2 == 0.0):
-        raise EvaluationError(
-            "degenerate tail: inner mean is zero at u_hat, gradient is singular")
-    g = np.asarray(jac, dtype=float).reshape(1, -1)
-    return float((g @ np.atleast_2d(cov) @ g.T)[0, 0])
+    if spec.k > 1:
+        raise ConfigError("optimal-value variance is defined for 2-level families")
+    if sample is None:
+        return float(exact_limit_variance(spec, problem.oracle)[0, 0])
+    if problem.objective_source == "mixed-plan" and spec.k == 1:
+        return _mixed_plan_variance(spec, sample, problem.plan)
+    report = asymptotic_report(spec, sample, estimate_empirical(spec, sample))
+    return float(report.limit_cov[0, 0])
 
 
 def optimal_value_limit_covariance(problems, u_hats, *, samples=None) -> np.ndarray:
@@ -267,40 +225,22 @@ def optimal_value_limit_covariance(problems, u_hats, *, samples=None) -> np.ndar
     With ``samples`` a list of per-component Samples observed independently
     (or None to use each problem's exact oracle), the covariance is block
     diagonal. With a single joint Sample whose columns split across the
-    problems (one column per scalar component), the plug-in covariance of
-    the stacked inner evaluations preserves dependence.
+    problems (one column per scalar component), it is the plug-in
+    asymptotic_report of the stacked specs, which preserves dependence.
     """
     problems = list(problems)
     u_hats = [float(u) for u in u_hats]
     if len(problems) != len(u_hats):
         raise ConfigError("one u_hat per problem is required")
-    ell = len(problems)
 
     if samples is None or isinstance(samples, (list, tuple)):
-        per = list(samples) if samples is not None else [None] * ell
-        cov = np.zeros((ell, ell))
-        for i, (pb, u, sp) in enumerate(zip(problems, u_hats, per)):
-            cov[i, i] = optimal_value_clt_variance(pb, sp, u)
-        return cov
+        per = list(samples) if samples is not None else [None] * len(problems)
+        return np.diag([optimal_value_clt_variance(pb, sp, u)
+                        for pb, u, sp in zip(problems, u_hats, per)])
 
-    joint: Sample = samples
-    if joint.m != ell:
-        raise ConfigError("joint sample must have one column per component")
-    from .core import _eval_layer
-    grads = np.empty(ell)
-    evals = np.empty((joint.n, ell))
-    for i, (pb, u) in enumerate(zip(problems, u_hats)):
-        spec = pb.family(u)
-        if spec.k != 1:
-            raise ConfigError("joint covariance expects 2-level families")
-        comp = Sample(joint.data[:, i])
-        f2 = _eval_layer(spec, 2, None, comp.data)[:, 0]
-        eta2 = np.array([f2.mean()])
-        if eta2[0] == 0.0:
-            raise EvaluationError("degenerate tail in joint covariance",
-                                  layer=2)
-        grads[i] = layer_jacobian(spec, 1, eta2, comp.data).mean(axis=0)[0, 0]
-        evals[:, i] = f2
-    dev = evals - evals.mean(axis=0)
-    inner_cov = dev.T @ dev / joint.n
-    return np.outer(grads, grads) * inner_cov
+    specs = [pb.family(u) for pb, u in zip(problems, u_hats)]
+    if any(spec.k != 1 for spec in specs):
+        raise ConfigError("joint covariance expects 2-level families")
+    stacked = stack_specs(specs)
+    return asymptotic_report(stacked, samples,
+                             estimate_empirical(stacked, samples)).limit_cov

@@ -209,6 +209,28 @@ def test_exact_limit_variance_matches_plugin_at_scale():
     assert rep.limit_cov[0, 0] == pytest.approx(exact, rel=0.02)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_report_constant_sample_raises_at_layer_one():
+    # a constant sample has no lower semideviation, so the outer root
+    # eta^(1/p) has an infinite derivative at the plug-in chain point
+    s = nr.Sample(np.full(10, 4.0))
+    spec = msd()
+    est = nr.estimate_empirical(spec, s)
+    with pytest.raises(nr.EvaluationError) as info:
+        nr.asymptotic_report(spec, s, est, level=0.95)
+    assert info.value.layer == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exact_limit_variance_degenerate_tail_raises():
+    # u = 200 lies far beyond N(10, 3): E[(X - u)_+^2] = 0 and the gradient
+    # of u + c * eta^(1/2) is singular
+    spec = nr.make_higher_order_family(nr.MeasureParams(c=20.0, p=2.0))(200.0)
+    with pytest.raises(nr.EvaluationError) as info:
+        exact_limit_variance(spec, nr.normal_oracle(10.0, np.sqrt(3.0)))
+    assert info.value.layer == 1
+
+
 # --- Monte Carlo validation ------------------------------------------------------------
 
 def test_k0_limit_variance_matches_replication_variance():

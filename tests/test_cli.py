@@ -94,6 +94,28 @@ def test_simulate_summary_json(msd_json, tmp_path):
     assert doc["config"]["n"] == 64
 
 
+def test_summary_json_and_histogram_share_one_summary(msd_json, tmp_path,
+                                                      monkeypatch):
+    import nestedrisk.cli as cli
+    original, calls = cli.summarize_distribution, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "summarize_distribution", counting)
+    out, hist = tmp_path / "sim.json", tmp_path / "hist.csv"
+    code = run_cli(["simulate", "--measure", msd_json,
+                    "--law", f"normal:10,{SQRT3}", "--n", "64",
+                    "--replications", "30", "--seed", "3",
+                    "--format", "json", "--out", str(out),
+                    "--hist-out", str(hist), "--bins", "12"])
+    assert code == 0
+    assert len(calls) == 1
+    assert "mean" in json.loads(out.read_text())
+    assert len(hist.read_text().strip().split("\n")) == 13
+
+
 def test_compare_runs(ho_json, tmp_path):
     out = tmp_path / "cmp.json"
     code = run_cli(["compare", "--measure", ho_json,

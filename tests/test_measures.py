@@ -296,8 +296,8 @@ def test_measure_json_round_trip():
            "components": [{"kind": "higher_order", "c": 20.0, "p": 2.0},
                           {"kind": "higher_order", "c": 20.0, "p": 2.0}]}
     cfg = nr.parse_measure(doc)
-    again = nr.parse_measure(nr.measure_to_json(cfg))
-    assert nr.measure_to_json(again) == nr.measure_to_json(cfg)
+    again = nr.parse_measure(cfg.to_json())
+    assert again.to_json() == cfg.to_json()
 
 
 def test_measure_json_kinds_build():

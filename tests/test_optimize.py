@@ -131,12 +131,36 @@ def test_smoothed_variance_pinned_values(family, u, expected):
     assert v == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_variance_degenerate_tail_raises():
     fam = ho_family()
     s = nr.Sample(np.array([1.0, 2.0, 3.0]))
     prob = nr.ScalarProblem(fam, (0.0, 10.0), "empirical-sample", sample=s)
     with pytest.raises(nr.EvaluationError):
         nr.optimal_value_clt_variance(prob, s, 9.0)  # all points below u
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("source", ["exact", "mixed-plan", "joint"])
+def test_degenerate_tail_raises_at_layer_one(source):
+    # u = 200 lies beyond every observation and every kernel window, so the
+    # inner mean is zero and the gradient of u + c * eta^(1/2) is singular
+    prob = exact_problem(10.0, SQ3)
+    s = nr.Sample(np.random.default_rng(8).normal(10.0, SQ3, 200))
+    with pytest.raises(nr.EvaluationError) as info:
+        if source == "exact":
+            nr.optimal_value_clt_variance(prob, None, 200.0)
+        elif source == "mixed-plan":
+            plan = nr.SmoothingPlan(frozenset({2}), nr.KernelSpec("uniform", 1, 2.0),
+                                    nr.BandwidthSchedule("silverman"))
+            mixed = nr.ScalarProblem(ho_family(), (0.0, 300.0), "mixed-plan",
+                                     sample=s, plan=plan)
+            nr.optimal_value_clt_variance(mixed, s, 200.0)
+        else:
+            joint = nr.Sample(np.stack([s.data[:, 0], s.data[:, 0] + 1.0], axis=1))
+            nr.optimal_value_limit_covariance([prob, prob], [12.0, 200.0],
+                                              samples=joint)
+    assert info.value.layer == 1
 
 
 def test_joint_covariance_block_diagonal_and_joint():
@@ -155,6 +179,25 @@ def test_joint_covariance_block_diagonal_and_joint():
     cov2 = nr.optimal_value_limit_covariance([probX, probY], [uX, uY],
                                              samples=joint)
     assert abs(cov2[0, 1]) < 0.25 * np.sqrt(cov2[0, 0] * cov2[1, 1])
+
+
+def test_joint_covariance_matches_gradient_congruence():
+    # on dependent columns the joint covariance is outer(g, g) * Cov[f2],
+    # with g_i = (c/p) eta_i^(1/p - 1) and eta_i = mean((X_i - u_i)_+^p)
+    c, p = 20.0, 2.0
+    rng = np.random.default_rng(4)
+    a = rng.normal(10, SQ3, 3000)
+    x = np.stack([a, 0.6 * a + rng.normal(14, 2.0, 3000)], axis=1)
+    u = np.array([12.0, 22.0])
+    f2 = np.maximum(0.0, x - u) ** p
+    eta = f2.mean(axis=0)
+    g = (c / p) * eta ** (1.0 / p - 1.0)
+    dev = f2 - eta
+    expected = np.outer(g, g) * (dev.T @ dev / x.shape[0])
+    prob = exact_problem(10.0, SQ3, c=c, p=p)
+    cov = nr.optimal_value_limit_covariance([prob, prob], u, samples=nr.Sample(x))
+    np.testing.assert_allclose(cov, expected, rtol=1e-12)
+    assert cov[0, 1] > 0.1 * np.sqrt(cov[0, 0] * cov[1, 1])
 
 
 # --- sample-based behavior -----------------------------------------------------------
@@ -242,15 +285,17 @@ def test_optimal_value_clt_at_n200_nominal_config():
 
 
 def test_optimal_value_clt_emerges_at_large_n():
-    # same configuration at n=20000: the kernel-smoothed optimal value is
-    # within KS 0.08 of its normal limit
-    fam = ho_family()
-    prob = exact_problem(10.0, SQ3)
+    # at n=20000, where c <= sqrt(n) and the bandwidth h_n = n^(-0.51) is a
+    # strong approximate identity (sqrt(n) h_n -> 0), the kernel-smoothed
+    # optimal value is within KS 0.08 of its normal limit
+    c, p = 20.0, 2.0
+    fam = ho_family(c, p)
+    prob = exact_problem(10.0, SQ3, c, p)
     theta = nr.minimize_scalar(prob).theta
     v = nr.optimal_value_clt_variance(prob, None, nr.minimize_scalar(prob).u_hat)
     law = nr.Normal(10.0, SQ3)
-    plan = nr.SmoothingPlan(frozenset({2}), nr.KernelSpec("uniform", 1, 2.0),
-                            nr.BandwidthSchedule("silverman"))
+    plan = nr.SmoothingPlan(frozenset({2}), nr.KernelSpec("uniform", 1, p),
+                            nr.BandwidthSchedule("power", 1.0, 0.51))
 
     def estimator(s):
         pb = nr.ScalarProblem(fam, nr.default_bracket(s, 20.0),
@@ -258,6 +303,8 @@ def test_optimal_value_clt_emerges_at_large_n():
         return nr.minimize_scalar(pb, flat_check_grid=0).theta
 
     n, R = 20_000, 600
+    assert c <= np.sqrt(n)
+    assert nr.check_strong_identity(plan.schedule, plan.kernel, p).passes
     tab = nr.run_replications(estimator, nr.SamplerConfig(law, 0), n, R, seed=15)
     z = np.sqrt(n) * (tab.estimates[:, 0] - theta) / np.sqrt(v)
     assert nr.ks_distance(z, 0.0, 1.0) < 0.08
