@@ -70,12 +70,16 @@ class PowerMaxForm:
     ``gap(eta, x)`` returns the scalar gap per sample row (``eta`` is None
     for the innermost layer). ``unit_slope`` records that the gap is affine
     in a one-dimensional sample with slope +-1, which is what the uniform
-    kernel closed form requires.
+    kernel closed form requires. ``tail_objective`` = (u, c) declares that
+    the layer is the inner layer of a two-level spec whose value is
+    u + c * eta^(1/power) over the gap x - u (the higher-moment objective
+    at decision u), which lets a solver in u work on the sorted sample.
     """
 
     power: float
     gap: Callable[[np.ndarray | None, np.ndarray], np.ndarray]
     unit_slope: bool = True
+    tail_objective: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)

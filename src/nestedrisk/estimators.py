@@ -255,12 +255,20 @@ _SORTED_MAX_POWER = 8
 _CANCELLATION_LIMIT = 64.0
 
 
-def _powermax_uniform_mean(gap: np.ndarray, p: float, h: float) -> float:
+def _powermax_uniform_mean(gap: np.ndarray, p: float, h: float,
+                           n: int | None = None) -> float:
     """Mean over the sample of the uniform-kernel convolution of
-    (max(0, gap + z))^p, z ~ U(-h, h): the tail-power closed form."""
+    (max(0, gap + z))^p, z ~ U(-h, h): the tail-power closed form.
+
+    ``n`` is the sample size when ``gap`` holds only the rows with
+    gap > -h (the others contribute zero); it defaults to len(gap). Any
+    p > -1 is accepted, and d/dgap of the mean at p is p times the mean
+    at p - 1.
+    """
     up = np.maximum(0.0, gap + h) ** (p + 1.0)
     dn = np.maximum(0.0, gap - h) ** (p + 1.0)
-    return float(np.sum(up - dn) / (2.0 * gap.shape[0] * (p + 1.0) * h))
+    count = gap.shape[0] if n is None else n
+    return float(np.sum(up - dn) / (2.0 * count * (p + 1.0) * h))
 
 
 def _powermax_tail_sums(gap: np.ndarray, p: int, offsets: np.ndarray) -> np.ndarray:

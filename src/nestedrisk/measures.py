@@ -122,7 +122,8 @@ class HigherOrderFamily:
 
         layers = (
             LayerFn(1, f1, f1_jac, eta_box=(np.array([1e-3]), np.array([10.0]))),
-            LayerFn(2, f2, powermax=PowerMaxForm(p, lambda eta, x: x[:, 0] - u)),
+            LayerFn(2, f2, powermax=PowerMaxForm(p, lambda eta, x: x[:, 0] - u,
+                                                 tail_objective=(u, c))),
         )
         return CompositeSpec(DimSignature(1, 1, (1, 1)), layers, label + f" @u={u:g}")
 

@@ -1,7 +1,9 @@
 """Scalar decision problems embedded in optimized composite functionals.
 
-Minimizes u -> rho[u, X] over a bracket for the shipped convex families
-(deterministic golden-section plus one parabolic refinement). With a unique
+Minimizes u -> rho[u, X] over a bracket for the shipped convex families:
+by safeguarded Newton steps over the sorted sample's tail for a
+uniform-kernel plan on the higher-moment family, by deterministic
+golden-section search plus one parabolic refinement otherwise. With a unique
 minimizer u_hat the limit of sqrt(n)(theta_n - theta) is normal, and its
 variance is the composite delta method C^T Sigma_g C of ``asymptotics``
 at the spec family(u_hat): exact by quadrature, plug-in from a sample, or,
@@ -20,7 +22,8 @@ from .core import (CompositeSpec, DistributionOracle, EtaChain, _eval_layer,
                    eval_exact_chain, validate_spec)
 from .errors import ConfigError, EvaluationError
 from .estimators import (Sample, SmoothingPlan, _empirical_chain, _mixed_chain,
-                         _smoothed_layer_mean, bandwidth, estimate_empirical)
+                         _powermax_uniform_mean, _smoothed_layer_mean, bandwidth,
+                         estimate_empirical)
 from .measures import stack_specs
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -94,7 +97,12 @@ def default_bracket(sample: Sample, c: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class OptimalValueReport:
-    """Solver output: minimizer, optimal value, iteration count, flags."""
+    """Solver output: minimizer, optimal value, iteration count, flags.
+
+    ``iterations`` counts golden-section steps, or, on the sorted-tail
+    path of ``minimize_scalar``, Newton and bisection steps (0 when an
+    endpoint is returned).
+    """
 
     u_hat: float
     theta: float
@@ -106,9 +114,16 @@ class OptimalValueReport:
 
 def minimize_scalar(problem: ScalarProblem, tol: float = 1e-8,
                     *, flat_check_grid: int = 128) -> OptimalValueReport:
-    """Golden-section search to bracket width <= tol, then one parabolic
-    refinement. Deterministic; assumes the objective is convex on the
-    bracket (true for the shipped families).
+    """Minimize the problem's objective over its bracket. Deterministic;
+    assumes the objective is convex on the bracket (true for the shipped
+    families).
+
+    A mixed plan that smooths a declared higher-moment inner layer
+    (``PowerMaxForm.tail_objective``) with the uniform kernel, in a
+    one-dimensional sample, is solved by safeguarded Newton steps on the
+    sorted sample (_solve_sorted_tail). Every other problem takes
+    golden-section search to bracket width <= tol, then one parabolic
+    refinement.
 
     A boundary optimum (objective monotone on the bracket) is reported with
     ``boundary=True``; a flat optimum (more than 1% of a probe grid within
@@ -123,33 +138,11 @@ def minimize_scalar(problem: ScalarProblem, tol: float = 1e-8,
             raise EvaluationError(f"objective non-finite at u={u:g}")
         return v
 
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = ev(c), ev(d)
-    iterations = 0
-    while (b - a) > tol and iterations < 400:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = ev(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = ev(d)
-        iterations += 1
-
-    u_best, f_best = (c, fc) if fc <= fd else (d, fd)
-    # one parabolic refinement through (a, u_best, b)
-    fa, fb = ev(a), ev(b)
-    denom = (u_best - a) * (fb - f_best) - (u_best - b) * (fa - f_best)
-    if abs(denom) > 0:
-        num = (u_best - a) ** 2 * (fb - f_best) - (u_best - b) ** 2 * (fa - f_best)
-        u_q = u_best - 0.5 * num / denom
-        if lo < u_q < hi and np.isfinite(u_q):
-            f_q = ev(u_q)
-            if f_q < f_best:
-                u_best, f_best = u_q, f_q
+    tail = _sorted_tail(problem)
+    if tail is None:
+        u_best, f_best, iterations = _golden_section(ev, lo, hi, tol)
+    else:
+        u_best, f_best, iterations = _solve_sorted_tail(*tail, lo, hi, tol, ev)
 
     width = hi - lo
     boundary = (u_best - lo) <= max(tol, 1e-12 * width) or \
@@ -167,6 +160,133 @@ def minimize_scalar(problem: ScalarProblem, tol: float = 1e-8,
 
     return OptimalValueReport(float(u_best), float(f_best), iterations,
                               bool(boundary), bool(flat))
+
+
+def _golden_section(ev, lo: float, hi: float, tol: float):
+    """Golden-section search to bracket width <= tol, then one parabolic
+    refinement through (a, u_best, b): (u, value, iterations)."""
+    a, b = lo, hi
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = ev(c), ev(d)
+    iterations = 0
+    while (b - a) > tol and iterations < 400:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = ev(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = ev(d)
+        iterations += 1
+
+    u_best, f_best = (c, fc) if fc <= fd else (d, fd)
+    fa, fb = ev(a), ev(b)
+    denom = (u_best - a) * (fb - f_best) - (u_best - b) * (fa - f_best)
+    if abs(denom) > 0:
+        num = (u_best - a) ** 2 * (fb - f_best) - (u_best - b) ** 2 * (fa - f_best)
+        u_q = u_best - 0.5 * num / denom
+        if lo < u_q < hi and np.isfinite(u_q):
+            f_q = ev(u_q)
+            if f_q < f_best:
+                u_best, f_best = u_q, f_q
+    return u_best, f_best, iterations
+
+
+def _sorted_tail(problem: ScalarProblem):
+    """(sorted sample, c, p, h) when the problem is a uniform-kernel mixed
+    plan smoothing a declared higher-moment inner layer (p > 1) in a
+    one-dimensional sample; None otherwise."""
+    sample, plan = problem.sample, problem.plan
+    if (problem.objective_source != "mixed-plan" or plan.kernel.family != "uniform"
+            or 2 not in plan.J or sample.m != 1):
+        return None
+    spec = problem.family(0.5 * sum(problem.bracket))
+    pm = spec.layer(2).powermax if spec.k == 1 else None
+    if pm is None or pm.tail_objective is None or pm.power <= 1.0:
+        return None
+    h = bandwidth(plan.schedule, sample.n, sample.std_scale())
+    return np.sort(sample.data[:, 0]), float(pm.tail_objective[1]), float(pm.power), h
+
+
+def _solve_sorted_tail(xs: np.ndarray, c: float, p: float, h: float,
+                       lo: float, hi: float, tol: float, ev):
+    """Minimize F(u) = u + c M(u)^(1/p) on [lo, hi], where M is the
+    uniform-kernel smoothed mean of (max(0, x - u))^p over the sorted sample
+    xs, by Newton steps on F' kept inside a sign bracket (rtsafe): a step
+    that leaves the bracket or does not halve the step before last is
+    replaced by bisection. Returns (u, F(u), steps).
+
+    Only the suffix x > u - h enters. With M_q the closed form at power q,
+    dM/du = -p M_(p-1) and d2M/du2 = p (p-1) M_(p-2), so with q_k the
+    ratio M_(p-k) / M (kept as ratios so that only M itself can overflow)
+    F' = 1 - c M^(1/p) q_1 and F'' = c (p-1) M^(1/p) (q_2 - q_1^2) >= 0.
+    A bracket end is evaluated only when no iterate passed it, and is
+    returned itself when F' keeps its sign up to it. A non-finite moment is
+    reported by the public objective ``ev``, which names the layer-2 row;
+    failing that, it raises naming layer 2.
+    """
+    n = xs.shape[0]
+
+    def derivatives(u: float):
+        gap = xs[np.searchsorted(xs, u - h, side="right"):] - u
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            m0 = np.float64(_powermax_uniform_mean(gap, p, h, n))
+            if m0 == 0.0:         # no mass within reach of the kernel
+                return u, 1.0, 0.0
+            norm = m0 ** (1.0 / p)
+            q1 = _powermax_uniform_mean(gap, p - 1.0, h, n) / m0
+            q2 = _powermax_uniform_mean(gap, p - 2.0, h, n) / m0
+            out = (u + c * norm, 1.0 - c * norm * q1,
+                   c * (p - 1.0) * norm * (q2 - q1 * q1))
+        if not np.all(np.isfinite(out)):
+            ev(u)
+            raise EvaluationError(f"non-finite smoothed tail moments at u={u:g}",
+                                  layer=2)
+        return out
+
+    # start at the (1 - 1/c) order statistic, the p = 1 (CVaR) optimum
+    u = float(xs[min(n - 1, int(n * (1.0 - 1.0 / c)))])
+    if not lo < u < hi:
+        u = 0.5 * (lo + hi)
+    f, d1, d2 = derivatives(u)
+    u_best, f_best = u, f
+    a, b = lo, hi
+    last = before_last = hi - lo
+    steps = 0
+    while d1 != 0.0 and steps < 400:
+        if d1 < 0.0:
+            a = u
+        else:
+            b = u
+        u_new = u - d1 / d2 if d2 > 0.0 else np.nan
+        step = abs(u_new - u)
+        if not (a < u_new < b and 2.0 * step <= before_last):
+            u_new, step = 0.5 * (a + b), 0.5 * (b - a)
+        before_last, last = last, step
+        steps += 1
+        if u_new == u:
+            break
+        u = u_new
+        f, d1, d2 = derivatives(u)
+        if f < f_best:
+            u_best, f_best = u, f
+        if step <= tol:
+            break
+    # the bracket ends were never evaluated: an end no iterate passed is
+    # the optimum when F' has the same sign there
+    if d1 > 0.0 and a == lo:
+        f_lo, d_lo, _ = derivatives(lo)
+        if d_lo >= 0.0:
+            return lo, f_lo, steps
+    if d1 < 0.0 and b == hi:
+        f_hi, d_hi, _ = derivatives(hi)
+        if d_hi <= 0.0:
+            return hi, f_hi, steps
+    # where F' is steep beside the root, the last iterate of a tol-wide
+    # bracket need not be the lowest one
+    return u_best, f_best, steps
 
 
 def _mixed_plan_variance(spec: CompositeSpec, sample: Sample,
@@ -204,7 +324,8 @@ def optimal_value_clt_variance(problem: ScalarProblem, sample: Sample | None,
     With sample=None the problem's quadrature oracle gives the exact value
     (exact_limit_variance, useful for reference variances); with a sample it
     is the plug-in asymptotic_report, except that a mixed-plan problem
-    smooths the inner mean and covariance with its plan. A degenerate tail
+    whose plan smooths layer 2 smooths the inner mean and covariance with
+    that plan. A degenerate tail
     (inner mean zero, so the gradient is singular for p > 1) raises
     EvaluationError naming layer 1.
     """
@@ -213,7 +334,8 @@ def optimal_value_clt_variance(problem: ScalarProblem, sample: Sample | None,
         raise ConfigError("optimal-value variance is defined for 2-level families")
     if sample is None:
         return float(exact_limit_variance(spec, problem.oracle)[0, 0])
-    if problem.objective_source == "mixed-plan" and spec.k == 1:
+    if (problem.objective_source == "mixed-plan" and spec.k == 1
+            and 2 in problem.plan.J):
         return _mixed_plan_variance(spec, sample, problem.plan)
     report = asymptotic_report(spec, sample, estimate_empirical(spec, sample))
     return float(report.limit_cov[0, 0])

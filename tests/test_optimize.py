@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import nestedrisk as nr
 
@@ -131,6 +134,24 @@ def test_smoothed_variance_pinned_values(family, u, expected):
     assert v == pytest.approx(expected, rel=1e-12)
 
 
+def test_mixed_plan_variance_follows_the_smoothing_set():
+    # J={1} smooths only the outer layer, which does not depend on x: the
+    # objective is the empirical one, and so must be its variance
+    x = np.random.default_rng(5).normal(10.0, SQ3, 200)
+    s = nr.Sample(x)
+    plan = nr.SmoothingPlan(frozenset({1}), nr.KernelSpec("gaussian", 1, 2.0),
+                            nr.BandwidthSchedule("silverman"))
+    bracket = nr.default_bracket(s, 4.0)
+    mixed = nr.ScalarProblem(ho_family(c=4.0), bracket, "mixed-plan",
+                             sample=s, plan=plan)
+    emp = nr.ScalarProblem(ho_family(c=4.0), bracket, "empirical-sample", sample=s)
+    assert mixed.objective()(11.0) == pytest.approx(emp.objective()(11.0), rel=1e-12)
+    v_emp = nr.optimal_value_clt_variance(emp, s, 11.0)
+    assert v_emp == pytest.approx(21.5235, abs=1e-4)
+    assert nr.optimal_value_clt_variance(mixed, s, 11.0) == pytest.approx(v_emp,
+                                                                           rel=1e-12)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_variance_degenerate_tail_raises():
     fam = ho_family()
@@ -198,6 +219,194 @@ def test_joint_covariance_matches_gradient_congruence():
     cov = nr.optimal_value_limit_covariance([prob, prob], u, samples=nr.Sample(x))
     np.testing.assert_allclose(cov, expected, rtol=1e-12)
     assert cov[0, 1] > 0.1 * np.sqrt(cov[0, 0] * cov[1, 1])
+
+
+# --- the sorted-tail Newton path ----------------------------------------------------
+
+UNIFORM = nr.KernelSpec("uniform", 1, 2.0)
+SCHEDULES = {"silverman": nr.BandwidthSchedule("silverman"),
+             "power": nr.BandwidthSchedule("power", 1.0, 0.51)}
+
+
+class CountingFamily:
+    """A family wrapper that counts ``family(u)`` builds; like any wrapper
+    it leaves the specs, and so the solver's dispatch, unchanged."""
+
+    def __init__(self, family):
+        self.family = family
+        self.calls = 0
+
+    def __call__(self, u):
+        self.calls += 1
+        return self.family(u)
+
+
+def without_tail_objective(family):
+    """The same family with the tail_objective declaration stripped from
+    its specs, which sends minimize_scalar to golden-section search."""
+    def stripped(u):
+        spec = family(u)
+        if spec.k != 1:
+            return spec
+        inner = spec.layer(2)
+        pm = replace(inner.powermax, tail_objective=None)
+        return replace(spec, layers=(spec.layer(1), replace(inner, powermax=pm)))
+    return stripped
+
+
+def newton_and_golden(family, bracket, s, plan, **kwargs):
+    counted = CountingFamily(family)
+    newton = nr.minimize_scalar(nr.ScalarProblem(counted, bracket, "mixed-plan",
+                                                 sample=s, plan=plan), **kwargs)
+    golden = nr.minimize_scalar(nr.ScalarProblem(without_tail_objective(family),
+                                                 bracket, "mixed-plan", sample=s,
+                                                 plan=plan), **kwargs)
+    # the Newton path builds no spec beyond the probes and the flat grid
+    assert counted.calls <= 2 + kwargs.get("flat_check_grid", 128)
+    return newton, golden
+
+
+def assert_agrees_with_golden(newton, golden, bracket):
+    assert newton.boundary == golden.boundary
+    if golden.boundary:
+        # golden-section stops within tol of the end; the end itself is lower
+        assert newton.u_hat in bracket
+        assert newton.theta <= golden.theta
+    else:
+        assert newton.theta == pytest.approx(golden.theta, rel=1e-9)
+
+
+# J={1,2} golden-section smooths the constant outer layer on n * 64 shifted
+# rows, so it stops at n=5000
+CASES = ([(n, p, rule, "2") for n in (2, 30, 200, 5000, 20000)
+          for p in (1.5, 2.0, 3.0, 5.0) for rule in SCHEDULES]
+         + [(n, p, rule, "12") for n, rule in ((2, "power"), (30, "silverman"),
+                                               (200, "power"), (5000, "silverman"))
+            for p in (1.5, 2.0, 3.0, 5.0)])
+
+
+@pytest.mark.parametrize("n, p, rule, J", CASES)
+def test_sorted_tail_newton_matches_golden_section(n, p, rule, J):
+    x = np.random.default_rng(n + int(10 * p)).normal(10.0, SQ3, n)
+    s = nr.Sample(x)
+    plan = nr.SmoothingPlan(frozenset(int(j) for j in J), UNIFORM, SCHEDULES[rule])
+    bracket = nr.default_bracket(s, 20.0)
+    newton, golden = newton_and_golden(ho_family(20.0, p), bracket, s, plan,
+                                       flat_check_grid=0)
+    assert_agrees_with_golden(newton, golden, bracket)
+
+
+@pytest.mark.parametrize("data", ["ties", "shifted"])
+def test_sorted_tail_newton_on_ties_and_shifted_data(data):
+    rng = np.random.default_rng(21)
+    if data == "ties":
+        x = np.repeat(np.round(rng.normal(10.0, SQ3, 50), 1), 4)
+    else:
+        x = rng.normal(10.0, SQ3, 200) + 1e4
+    s = nr.Sample(x)
+    for rule in SCHEDULES:
+        plan = nr.SmoothingPlan(frozenset({2}), UNIFORM, SCHEDULES[rule])
+        bracket = nr.default_bracket(s, 20.0)
+        newton, golden = newton_and_golden(ho_family(), bracket, s, plan,
+                                           flat_check_grid=0)
+        assert not golden.boundary
+        assert_agrees_with_golden(newton, golden, bracket)
+
+
+def test_sorted_tail_newton_returns_the_bracket_end_at_boundary_optima():
+    x = np.random.default_rng(22).normal(10.0, SQ3, 200)
+    s = nr.Sample(x)
+    plan = nr.SmoothingPlan(frozenset({2}), UNIFORM, SCHEDULES["power"])
+    interior = nr.minimize_scalar(nr.ScalarProblem(
+        ho_family(), nr.default_bracket(s, 20.0), "mixed-plan", sample=s,
+        plan=plan), flat_check_grid=0)
+    for bracket, end in (((x.min() - 1.0, x.min() - 0.5), 1),
+                         ((interior.u_hat + 0.5, interior.u_hat + 3.0), 0)):
+        newton, golden = newton_and_golden(ho_family(), bracket, s, plan,
+                                           flat_check_grid=0)
+        assert golden.boundary
+        assert newton.u_hat == bracket[end]
+        assert_agrees_with_golden(newton, golden, bracket)
+
+
+@given(n=st.integers(2, 400), p=st.floats(1.2, 6.0), c=st.floats(1.5, 60.0),
+       loc=st.floats(-50.0, 50.0), scale=st.floats(0.1, 10.0),
+       rule=st.sampled_from(sorted(SCHEDULES)), seed=st.integers(0, 2 ** 31))
+def test_sorted_tail_newton_matches_golden_section_property(n, p, c, loc, scale,
+                                                            rule, seed):
+    s = nr.Sample(loc + scale * np.random.default_rng(seed).standard_t(5, n))
+    plan = nr.SmoothingPlan(frozenset({2}), UNIFORM, SCHEDULES[rule])
+    bracket = nr.default_bracket(s, c)
+    newton, golden = newton_and_golden(ho_family(c, p), bracket, s, plan,
+                                       flat_check_grid=0)
+    assert_agrees_with_golden(newton, golden, bracket)
+
+
+def test_flat_check_grid_evaluates_the_public_objective_after_newton():
+    x = np.random.default_rng(23).normal(10.0, SQ3, 200)
+    s = nr.Sample(x)
+    plan = nr.SmoothingPlan(frozenset({2}), UNIFORM, SCHEDULES["silverman"])
+    bracket = nr.default_bracket(s, 20.0)
+    newton, golden = newton_and_golden(ho_family(), bracket, s, plan)
+    assert not newton.flat and not golden.flat
+    assert_agrees_with_golden(newton, golden, bracket)
+    fn = nr.ScalarProblem(ho_family(), bracket, "mixed-plan", sample=s,
+                          plan=plan).objective()
+    assert min(fn(u) for u in np.linspace(*bracket, 128)) >= newton.theta
+
+
+@pytest.mark.parametrize("case", ["gaussian", "J1", "empirical", "exact"])
+def test_undispatched_problems_ignore_the_declaration(case):
+    x = np.random.default_rng(24).normal(10.0, SQ3, 200)
+    s = nr.Sample(x)
+    kernel = nr.KernelSpec("gaussian" if case == "gaussian" else "uniform", 1, 2.0)
+    plan = nr.SmoothingPlan(frozenset({1} if case == "J1" else {2}), kernel,
+                            SCHEDULES["silverman"])
+    fam = ho_family()
+    reports = []
+    for family in (fam, without_tail_objective(fam)):
+        if case == "exact":
+            prob = nr.ScalarProblem(family, (10 - 6 * SQ3, 10 + 12 * SQ3),
+                                    "exact-oracle", oracle=nr.normal_oracle(10.0, SQ3))
+        elif case == "empirical":
+            prob = nr.ScalarProblem(family, nr.default_bracket(s, 20.0),
+                                    "empirical-sample", sample=s)
+        else:
+            prob = nr.ScalarProblem(family, nr.default_bracket(s, 20.0),
+                                    "mixed-plan", sample=s, plan=plan)
+        reports.append(nr.minimize_scalar(prob, flat_check_grid=16))
+    assert reports[0] == reports[1]
+    assert reports[0].iterations > 30       # golden-section steps
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sorted_tail_newton_error_paths():
+    plan = nr.SmoothingPlan(frozenset({2}), UNIFORM, SCHEDULES["silverman"])
+    # tail powers of 1e3-scale gaps overflow at p = 120, on either path
+    s = nr.Sample(1e3 * np.random.default_rng(25).normal(0.0, 1.0, 200))
+    steep = ho_family(20.0, 120.0)
+    for family in (steep, without_tail_objective(steep)):
+        prob = nr.ScalarProblem(family, nr.default_bracket(s, 20.0), "mixed-plan",
+                                sample=s, plan=plan)
+        with pytest.raises(nr.EvaluationError) as info:
+            nr.minimize_scalar(prob, flat_check_grid=0)
+        assert info.value.layer == 2
+    # a constant sample has no silverman bandwidth
+    const = nr.ScalarProblem(ho_family(), (0.0, 10.0), "mixed-plan",
+                             sample=nr.Sample(np.full(50, 3.0)), plan=plan)
+    with pytest.raises(nr.EvaluationError, match="silverman"):
+        nr.minimize_scalar(const)
+    # an invalid family is rejected at the probe, before any solve
+    def mislabelled(u):
+        spec = ho_family()(u)
+        return replace(spec, layers=(replace(spec.layer(1), index=2), spec.layer(2)))
+
+    fam = CountingFamily(mislabelled)
+    s = nr.Sample(np.random.default_rng(26).normal(10.0, SQ3, 50))
+    bad = nr.ScalarProblem(fam, (0.0, 20.0), "mixed-plan", sample=s, plan=plan)
+    with pytest.raises(nr.ConfigError):
+        nr.minimize_scalar(bad)
+    assert fam.calls == 1
 
 
 # --- sample-based behavior -----------------------------------------------------------
