@@ -79,12 +79,30 @@ class AsymptoticReport:
 
 
 def _layer_values(spec: CompositeSpec, x: np.ndarray, chain: EtaChain) -> np.ndarray:
-    """Stacked per-observation layer evaluations at the chain point, (n, M)."""
-    cols = []
+    """Stacked per-observation layer evaluations at the chain point,
+    layer-major: row i of the (M, n) result is coordinate i of the stack."""
+    rows = []
     for j in range(1, spec.k + 2):
         eta = chain.input_for(j) if j <= spec.k else None
-        cols.append(_eval_layer(spec, j, eta, x))
-    return np.concatenate(cols, axis=1)
+        rows.append(_eval_layer(spec, j, eta, x).T)
+    return np.concatenate(rows, axis=0)
+
+
+def _stacked_covariance(rows: np.ndarray,
+                        weights: np.ndarray | None = None) -> np.ndarray:
+    """Symmetrized covariance of layer-major stacked evaluations (M, n).
+
+    Without weights it is the 1/n sample covariance, one centred Gram
+    product; with quadrature weights over the n columns it is the weighted
+    second moment minus the outer product of the weighted mean.
+    """
+    if weights is None:
+        dev = rows - rows.mean(axis=1, keepdims=True)
+        full = dev @ dev.T / rows.shape[1]
+    else:
+        mean = rows @ weights
+        full = (rows * weights) @ rows.T - np.outer(mean, mean)
+    return 0.5 * (full + full.T)
 
 
 def plugin_sigma(spec: CompositeSpec, sample: Sample, chain: EtaChain) -> SigmaEstimate:
@@ -93,14 +111,20 @@ def plugin_sigma(spec: CompositeSpec, sample: Sample, chain: EtaChain) -> SigmaE
     Block (a, b) is the sample covariance (1/n convention) between the
     layer-a and layer-b evaluations, each at the plug-in chain point.
     Roundoff-scale negative eigenvalues are clipped; genuinely negative
-    spectra raise.
+    spectra raise. A covariance that overflows raises EvaluationError
+    naming the first layer whose variance is non-finite.
     """
     if sample.n < 2:
         raise ConfigError("covariance needs at least two observations")
-    vals = _layer_values(spec, sample.data, chain)
-    dev = vals - vals.mean(axis=0)
-    full = dev.T @ dev / sample.n
-    full = 0.5 * (full + full.T)
+    dims = spec.signature.dims
+    offsets = np.concatenate([[0], np.cumsum(dims)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = _stacked_covariance(_layer_values(spec, sample.data, chain))
+    if not np.all(np.isfinite(full)):
+        # an entry overflows only where a variance on its row or column does
+        bad = np.flatnonzero(~np.isfinite(np.diag(full)))[0]
+        raise EvaluationError("plug-in covariance is non-finite (overflow)",
+                              layer=int(np.searchsorted(offsets, bad, side="right")))
 
     scale = max(float(np.trace(full)), 0.0)
     if scale > 0:
@@ -114,8 +138,6 @@ def plugin_sigma(spec: CompositeSpec, sample: Sample, chain: EtaChain) -> SigmaE
             full = (q * np.maximum(lam, 0.0)) @ q.T
             full = 0.5 * (full + full.T)
 
-    dims = spec.signature.dims
-    offsets = np.concatenate([[0], np.cumsum(dims)])
     blocks = tuple(
         tuple(full[offsets[a]:offsets[a + 1], offsets[b]:offsets[b + 1]]
               for b in range(len(dims)))
@@ -211,16 +233,8 @@ def exact_limit_variance(spec: CompositeSpec, oracle) -> np.ndarray:
     chain = eval_exact_chain(spec, oracle)
     ct = _chain_products(spec, chain, rule.nodes, rule.weights).stacked
 
-    def stacked_vals(x):
-        return _layer_values(spec, x, chain)
-
-    mean = rule.integrate(stacked_vals)
-    M = mean.shape[0]
-    second = rule.integrate(
-        lambda x: (lambda v: (v[:, :, None] * v[:, None, :]).reshape(x.shape[0], -1))
-        (stacked_vals(x))).reshape(M, M)
-    sigma_full = second - np.outer(mean, mean)
-    sigma_full = 0.5 * (sigma_full + sigma_full.T)
+    sigma_full = _stacked_covariance(_layer_values(spec, rule.nodes, chain),
+                                     rule.weights)
     cov = ct @ sigma_full @ ct.T
     return 0.5 * (cov + cov.T)
 

@@ -274,29 +274,38 @@ def _powermax_uniform_mean(gap: np.ndarray, p: float, h: float,
 def _powermax_tail_sums(gap: np.ndarray, p: int, offsets: np.ndarray) -> np.ndarray:
     """sum_i (max(0, gap_i - t))^p for every offset t.
 
-    Sorts the gaps once and keeps suffix sums of g^0..g^p, so each offset
-    costs a binary search and the binomial expansion of (g - t)^p over the
-    gaps above t: O(n log n + q log n) time and O(p n) memory. Suffix sums
-    of |g|^r bound the expansion's terms; an offset where they outweigh the
-    sum beyond _CANCELLATION_LIMIT (gaps bunched just above t, far from 0)
-    is summed directly over its gaps.
+    Sorts the gaps once; the distinct counts of gaps above the q offsets
+    cut the largest gaps into at most q segments, whose sums of g^1..g^p
+    accumulate into sums over the c largest gaps for each count c. Each
+    offset then costs a binary search and the binomial expansion of
+    (g - t)^p over the gaps above t: O(n log n + q log n) time and O(p n)
+    memory. Sums of |g|^r bound the expansion's terms; an offset where they
+    outweigh the sum beyond _CANCELLATION_LIMIT (gaps bunched just above t,
+    far from 0) is summed directly over its gaps.
     """
     ascending = np.sort(gap)
     g = ascending[::-1]
-    n = g.shape[0]
-    powers = np.ones((p + 1, n))
-    for r in range(1, p + 1):
-        powers[r] = powers[r - 1] * g
-    # top[r, c] and top_abs[r, c] sum g^r and |g|^r over the c largest gaps
-    top = np.zeros((p + 1, n + 1))
-    np.cumsum(powers, axis=1, out=top[:, 1:])
+    count = g.shape[0] - np.searchsorted(ascending, offsets, side="right")  # gaps > t
+    cuts, slot = np.unique(count, return_inverse=True)
+    # column c of powers holds g^1..g^p of the c-th largest gap and column 0
+    # is zero, so segment s covers columns cuts[s-1] + 1 .. cuts[s]
+    powers = np.empty((p, cuts[-1] + 1))
+    powers[0, 0] = 0.0
+    powers[0, 1:] = g[:cuts[-1]]
+    for r in range(1, p):
+        powers[r] = powers[r - 1] * powers[0]
+    starts = np.concatenate(([0], cuts[:-1] + 1))
+    # top[r, s] and top_abs[r, s] sum g^r and |g|^r over the cuts[s] largest gaps
+    top = np.empty((p + 1, cuts.shape[0]))
+    top[0] = cuts
+    np.cumsum(np.add.reduceat(powers, starts, axis=1), axis=1, out=top[1:])
     top_abs = top.copy()
-    np.cumsum(np.abs(powers[1::2]), axis=1, out=top_abs[1::2, 1:])
-    count = n - np.searchsorted(ascending, offsets, side="right")  # gaps > t
+    np.cumsum(np.add.reduceat(np.abs(powers[::2]), starts, axis=1), axis=1,
+              out=top_abs[1::2])
     r = np.arange(p + 1)[:, None]
     coef = np.array([[comb(p, k)] for k in range(p + 1)]) * (-offsets) ** (p - r)
-    sums = np.sum(coef * top[:, count], axis=0)
-    bound = np.sum(np.abs(coef) * top_abs[:, count], axis=0)
+    sums = np.sum(coef * top[:, slot], axis=0)
+    bound = np.sum(np.abs(coef) * top_abs[:, slot], axis=0)
     for k in np.flatnonzero(bound > _CANCELLATION_LIMIT * sums):
         sums[k] = np.sum((g[:count[k]] - offsets[k]) ** p)
     return sums

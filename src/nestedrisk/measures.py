@@ -462,8 +462,12 @@ def parse_measure(doc) -> MeasureConfig:
     if isinstance(doc, str):
         text = doc
         if not text.lstrip().startswith("{"):
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(text, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ConfigError(
+                    f"cannot read measure file {text!r}: {exc.strerror}") from exc
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

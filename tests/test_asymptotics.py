@@ -63,6 +63,82 @@ def test_sigma_needs_two_observations():
         nr.plugin_sigma(spec, s, est.chain)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sigma_overflow_raises_naming_the_layer():
+    # at scale 1e100 the layer-2 values (eta - x)_+^2 reach 1e200 and their
+    # Gram product overflows; eigvalsh would fail to converge on the result
+    x = np.random.default_rng(8).normal(0.0, 1e100, size=200)
+    s = nr.Sample(x)
+    spec = msd()
+    est = nr.estimate_empirical(spec, s)
+    with pytest.raises(nr.EvaluationError) as info:
+        nr.asymptotic_report(spec, s, est, level=0.95)
+    assert info.value.layer == 2
+
+
+def test_sigma_layer_major_matches_bruteforce_on_two_column_stack():
+    # two mean-semideviation components over a 2-column sample: dims (2, 2, 2)
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(60, 2)) @ np.array([[1.0, 0.6], [0.0, 0.8]]) + [3.0, -1.0]
+    spec = nr.stack_specs([msd(0.5, 2.0), msd(0.8, 3.0)])
+    assert spec.signature.dims == (2, 2, 2)
+    s = nr.Sample(x)
+    est = nr.estimate_empirical(spec, s)
+    sig = nr.plugin_sigma(spec, s, est.chain)
+    naive = stacked_covariance(spec, x, est.chain)
+    np.testing.assert_allclose(sig.full, naive, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(sig.block(2, 3), naive[2:4, 4:6], rtol=1e-12,
+                               atol=1e-14)
+
+
+def test_sigma_and_jacobians_of_three_asset_portfolio():
+    kappa, p = 0.6, 2.0
+    u = np.array([0.5, 0.3, 0.2])
+    spec = nr.make_portfolio_semideviation(nr.MeasureParams(kappa=kappa, p=p), 3)(u)
+    x = np.random.default_rng(23).normal(size=(80, 3)) + [0.1, 0.0, -0.2]
+    s = nr.Sample(x)
+    est = nr.estimate_empirical(spec, s)
+    sig = nr.plugin_sigma(spec, s, est.chain)
+    np.testing.assert_allclose(sig.full, stacked_covariance(spec, x, est.chain),
+                               rtol=1e-12, atol=1e-14)
+    # expected Jacobians written out: d f1 / d eta2 and d f2 / d eta3
+    eta3 = est.chain.input_for(2)[0]
+    eta2 = est.chain.input_for(1)[0]
+    j1 = kappa / p * eta2 ** (1.0 / p - 1.0)
+    j2 = np.mean(p * np.maximum(0.0, eta3 - x @ u) ** (p - 1.0))
+    chains = nr.chain_matrices(spec, s, est.chain, fd_fallback=False)
+    assert chains.jacobian_means[0][0, 0] == pytest.approx(j1, rel=1e-12)
+    assert chains.jacobian_means[1][0, 0] == pytest.approx(j2, rel=1e-12)
+    rep = nr.asymptotic_report(spec, s, est, level=0.9)
+    ct = np.array([[1.0, j1, j1 * j2]])
+    np.testing.assert_allclose(rep.limit_cov, ct @ sig.full @ ct.T, rtol=1e-12)
+
+
+def test_sigma_eigenvalue_clip_branch_matches_bruteforce(monkeypatch):
+    # the mean-semideviation Sigma is singular (layer 1 is affine in layer 3),
+    # so roundoff often leaves a tiny negative eigenvalue, clipped to zero;
+    # its sign is roundoff, so ten samples make sure the branch runs
+    clipped = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        clipped.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    spec = msd(0.7, 2.0)
+    for seed in range(10):
+        x = np.random.default_rng(seed).normal(10.0, 2.0, size=50)
+        s = nr.Sample(x)
+        est = nr.estimate_empirical(spec, s)
+        sig = nr.plugin_sigma(spec, s, est.chain)
+        naive = stacked_covariance(spec, x, est.chain)
+        np.testing.assert_allclose(sig.full, naive, rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(sig.full, sig.full.T)
+    monkeypatch.undo()
+    assert clipped and set(clipped) == {(3, 3)}
+
+
 # --- chain_matrices ---------------------------------------------------------------
 
 def test_chain_identity_layers():
@@ -207,6 +283,32 @@ def test_exact_limit_variance_matches_plugin_at_scale():
     est = nr.estimate_empirical(spec, s)
     rep = nr.asymptotic_report(spec, s, est)
     assert rep.limit_cov[0, 0] == pytest.approx(exact, rel=0.02)
+
+
+def _ho(c, p, u):
+    return nr.make_higher_order_family(nr.MeasureParams(c=c, p=p))(u)
+
+
+def _n3(nodes=1000):
+    return nr.normal_oracle(10.0, np.sqrt(3.0), nodes=nodes)
+
+
+# values recorded before the layer-major rewrite of the stacked evaluations
+@pytest.mark.parametrize("make, want", [
+    (lambda: (msd(0.5, 2.0), _n3()), [[3.2300175853619737]]),
+    (lambda: (msd(1.0, 3.0), _n3()), [[5.07799539086295]]),
+    (lambda: (msd(0.5, 2.0), nr.uniform_oracle(0.0, 4.0)), [[1.583290811898619]]),
+    (lambda: (_ho(4.0, 3.0, 11.0), _n3()), [[52.37587346327594]]),
+    (lambda: (nr.stack_specs([msd(0.5, 2.0), _ho(4.0, 2.0, 11.0)]),
+              nr.product_oracle([_n3(200),
+                                 nr.normal_oracle(20.0, np.sqrt(5.0), nodes=200)])),
+     [[3.2300175853678614, 0.0], [0.0, 77.67453956925885]]),
+], ids=["msd-normal", "msd-p3-normal", "msd-uniform", "higher-order-p3", "stack"])
+def test_exact_limit_variance_pinned_values(make, want):
+    spec, oracle = make()
+    # the off-diagonal of independent components is roundoff (about 3e-11)
+    np.testing.assert_allclose(exact_limit_variance(spec, oracle), want,
+                               rtol=1e-12, atol=1e-9)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

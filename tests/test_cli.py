@@ -175,6 +175,24 @@ def test_config_error_exit_code(msd_json, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_missing_measure_file_exit_code(tmp_path, capsys):
+    path = str(tmp_path / "nofile.json")
+    code = run_cli(["estimate", "--measure", path, "--law", "normal:0,1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and path in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_covariance_exit_code(msd_json, capsys):
+    # layer-2 values near 1e200 overflow the plug-in covariance
+    code = run_cli(["estimate", "--measure", msd_json,
+                    "--law", "normal:0,1e100"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "layer=2" in err
+
+
 def test_numerical_error_exit_code(msd_json, capsys):
     # constant sample makes the silverman bandwidth degenerate
     code = run_cli(["estimate", "--measure", msd_json,

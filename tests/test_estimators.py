@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nestedrisk as nr
-from nestedrisk.estimators import _kernel_nodes_1d
+from nestedrisk import estimators
+from nestedrisk.estimators import _kernel_nodes_1d, _powermax_tail_sums
 
 from naive import mean_spec, nested_empirical
 
@@ -448,3 +449,47 @@ def test_estimator_consistency_rate_on_normal_law():
         medians.append(np.median(np.abs(tab.estimates[:, 0] - exact)))
     assert medians[0] / medians[1] >= 2.5
     assert medians[1] / medians[2] >= 2.5
+
+
+# --- _powermax_tail_sums segment sums ---------------------------------------------
+
+def _direct_tail_sums(gap, p, offsets):
+    return np.array([np.sum(np.maximum(0.0, gap - t) ** p) for t in offsets])
+
+
+@pytest.mark.parametrize("case", ["all_above", "all_below", "offset_on_gap",
+                                  "repeated", "single"])
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_tail_sums_segment_edge_cases(case, p):
+    gap = np.random.default_rng(3).normal(size=40)
+    if case == "all_above":           # every count is 0
+        offsets = gap.max() + np.array([0.0, 0.5, 2.0])
+    elif case == "all_below":         # every count is n
+        offsets = gap.min() - np.array([3.0, 0.5, 1e-9])
+    elif case == "offset_on_gap":     # side="right": the gap itself is not above t
+        offsets = np.sort(gap)[[0, 7, 20, 39]]
+    elif case == "repeated":          # equal offsets give equal counts
+        offsets = np.array([-0.4, 0.1, 0.1, 0.1, 1.2, -0.4])
+    else:                             # n = 1
+        gap = np.array([0.7])
+        offsets = np.array([-1.0, 0.0, 0.7, 0.69, 2.0])
+    got = _powermax_tail_sums(gap, p, offsets)
+    want = _direct_tail_sums(gap, p, offsets)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    if case == "all_above":
+        assert np.all(got == 0.0)
+
+
+def test_tail_sums_cancellation_fallback_fires_at_p8(monkeypatch):
+    # gaps bunched just above offsets far from 0: the binomial terms
+    # outweigh the sum, so only the direct-sum fallback keeps the digits
+    gap = 50.0 + np.random.default_rng(4).uniform(0.0, 1e-2, size=300)
+    offsets = 50.0 + np.array([-1e-3, 2e-3, 5e-3, 9e-3])
+    want = _direct_tail_sums(gap, 8, offsets)
+    np.testing.assert_allclose(_powermax_tail_sums(gap, 8, offsets), want,
+                               rtol=1e-12, atol=0.0)
+    # without the limit (a negative expansion still falls back) the
+    # expansion alone is wrong in every digit at some offsets
+    monkeypatch.setattr(estimators, "_CANCELLATION_LIMIT", np.inf)
+    expanded = _powermax_tail_sums(gap, 8, offsets)
+    assert np.any(np.abs(expanded - want) > want)

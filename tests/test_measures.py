@@ -318,3 +318,9 @@ def test_measure_json_errors():
         nr.parse_measure({"kind": "systemic", "components": []})
     with pytest.raises(nr.ConfigError):
         nr.parse_measure('{"kind": "higher_order", "c": 0.5}')
+
+
+def test_missing_measure_file_is_a_config_error(tmp_path):
+    path = tmp_path / "nofile.json"
+    with pytest.raises(nr.ConfigError, match="nofile.json"):
+        nr.parse_measure(str(path))
