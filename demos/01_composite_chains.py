@@ -62,7 +62,7 @@ fd = (nr.eval_exact_chain(bumped, oracle).value[0] - chain_n.value[0]) / eps
 print(f"finite-difference check:                  {fd:.6f}")
 
 # the same object appears as the last chain matrix C_k^T
-s = nr.Sample(oracle.sampler(0, 50_000))
+s = nr.sample(nr.SamplerConfig(nr.Normal(10.0, np.sqrt(3.0)), 0), 50_000)
 est = nr.estimate_empirical(spec, s)
 chains = nr.chain_matrices(spec, s, est.chain)
 print(f"sample chain-matrix estimate C_2^T:       "

@@ -10,8 +10,8 @@ from .asymptotics import (AsymptoticReport, ChainMatrices, SigmaEstimate,
                           asymptotic_report, chain_matrices,
                           confidence_interval, exact_limit_variance,
                           limit_variance, plugin_sigma)
-from .core import (CompositeSpec, DimSignature, Direction, DistributionOracle,
-                   EtaChain, LayerFn, PowerMaxForm, QuadratureRule,
+from .core import (CompositeSpec, DimSignature, Direction, EtaChain,
+                   LayerFn, PowerMaxForm, QuadratureRule,
                    ValidationResult, discrete_oracle, eval_exact_chain,
                    normal_oracle, product_oracle, propagate_direction,
                    two_point_oracle, uniform_oracle, validate_spec)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .core import (CompositeSpec, EtaChain, _eval_layer, eval_exact_chain,
-                   layer_jacobian)
+from .core import (CompositeSpec, EtaChain, QuadratureRule, _eval_layer,
+                   eval_exact_chain, layer_jacobian)
 from .errors import ConfigError, EvaluationError
 from .estimators import EstimateReport, Sample
 
@@ -94,14 +94,16 @@ def _stacked_covariance(rows: np.ndarray,
 
     Without weights it is the 1/n sample covariance, one centred Gram
     product; with quadrature weights over the n columns it is the weighted
-    second moment minus the outer product of the weighted mean.
+    Gram product of the rows centred by their weighted mean. Centring first
+    keeps the digits that the second moment minus the squared mean would
+    cancel on a law far from 0.
     """
     if weights is None:
         dev = rows - rows.mean(axis=1, keepdims=True)
         full = dev @ dev.T / rows.shape[1]
     else:
-        mean = rows @ weights
-        full = (rows * weights) @ rows.T - np.outer(mean, mean)
+        dev = rows - (rows @ weights)[:, None]
+        full = (dev * weights) @ dev.T
     return 0.5 * (full + full.T)
 
 
@@ -221,20 +223,20 @@ def confidence_interval(estimate: EstimateReport, report: AsymptoticReport,
     return tuple((float(v - hw), float(v + hw)) for v, hw in zip(value, half))
 
 
-def exact_limit_variance(spec: CompositeSpec, oracle) -> np.ndarray:
-    """Limit covariance with Sigma_g and the chain matrices computed by
-    quadrature at the exact chain (reference values for simulations).
+def exact_limit_variance(spec: CompositeSpec,
+                         oracle: QuadratureRule | None) -> np.ndarray:
+    """Limit covariance with Sigma_g and the chain matrices computed by the
+    oracle's quadrature at the exact chain (reference values for simulations).
 
     Raises EvaluationError naming the layer whose expected Jacobian is
     non-finite."""
-    if oracle is None or oracle.quadrature is None:
+    if oracle is None:
         raise ConfigError("exact_limit_variance needs a quadrature oracle")
-    rule = oracle.quadrature
     chain = eval_exact_chain(spec, oracle)
-    ct = _chain_products(spec, chain, rule.nodes, rule.weights).stacked
+    ct = _chain_products(spec, chain, oracle.nodes, oracle.weights).stacked
 
-    sigma_full = _stacked_covariance(_layer_values(spec, rule.nodes, chain),
-                                     rule.weights)
+    sigma_full = _stacked_covariance(_layer_values(spec, oracle.nodes, chain),
+                                     oracle.weights)
     cov = ct @ sigma_full @ ct.T
     return 0.5 * (cov + cov.T)
 

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .asymptotics import (AsymptoticReport, asymptotic_report,
-                          exact_limit_variance)
+                          confidence_interval, exact_limit_variance)
 from .core import eval_exact_chain
 from .errors import ConfigError, EvaluationError
 from .estimators import (BandwidthSchedule, KernelSpec, Sample, SmoothingPlan,
@@ -218,11 +218,12 @@ def cmd_estimate(args) -> int:
             prob = ScalarProblem(family, bracket, "empirical-sample", sample=s)
         rep = minimize_scalar(prob)
         v = optimal_value_clt_variance(prob, s, rep.u_hat)
-        from scipy.special import ndtri
-        half = float(ndtri(0.5 + args.level / 2.0)) * np.sqrt(v / s.n)
+        # the report carries the value its interval is centred on
+        arep = AsymptoticReport.from_limit_cov([[v]], s.n, value=[rep.theta])
+        (lo, hi), = confidence_interval(arep, arep, args.level)
         doc = {"value": rep.theta, "u_hat": rep.u_hat,
                "limit_variance": v, "level": args.level,
-               "interval": [rep.theta - half, rep.theta + half],
+               "interval": [lo, hi],
                "boundary": rep.boundary,
                "config": {"measure": mcfg.to_json(), "law": repr(law),
                           "n": s.n, "seed": args.seed}}

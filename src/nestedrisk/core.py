@@ -12,6 +12,10 @@ Evaluators are vectorized over sample rows: a middle layer receives
 ``(eta, X)`` with ``X`` of shape ``(n, m)`` and must return ``(n, dims[j-1])``
 (a 1-d array is accepted when the output dimension is one); the innermost
 layer receives ``X`` alone.
+
+The law P of X enters exact evaluation only as a ``QuadratureRule``: the
+``*_oracle`` constructors build the rule for a law, and that rule is the
+oracle. Samples from a law are drawn by ``harness.sample`` alone.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._rng import counter_normal, counter_uniform
 from .errors import ConfigError, EvaluationError
 
 # Central-difference step for Jacobian checks and fallback Jacobians:
@@ -148,16 +151,14 @@ class QuadratureRule:
             vals = vals[:, None]
         return self.weights @ vals
 
-
-@dataclass(frozen=True)
-class DistributionOracle:
-    """Access to the law P of X: a deterministic sampler and, when available,
-    a quadrature rule. ``sampler(seed, count)`` returns a (count, m) matrix
-    and is a pure function of its arguments."""
-
-    sampler: Callable[[int, int], np.ndarray]
-    quadrature: QuadratureRule | None = None
-    fallback_count: int = 200_000
+    @classmethod
+    def product(cls, rules: Sequence[QuadratureRule]) -> QuadratureRule:
+        """Tensor-product rule of one-dimensional rules, first coordinate
+        varying slowest."""
+        grids = np.meshgrid(*[r.nodes[:, 0] for r in rules], indexing="ij")
+        wgrids = np.meshgrid(*[r.weights for r in rules], indexing="ij")
+        return cls(np.stack([g.ravel() for g in grids], axis=1),
+                   np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1))
 
 
 @dataclass(frozen=True)
@@ -261,28 +262,13 @@ def validate_spec(spec: CompositeSpec) -> ValidationResult:
     return ValidationResult(not mismatches, tuple(mismatches))
 
 
-def eval_exact_chain(spec: CompositeSpec, oracle: DistributionOracle,
-                     *, fallback_seed: int = 0) -> EtaChain:
-    """Exact nested means against the oracle's law, innermost first.
-
-    Uses the oracle's quadrature rule when present; otherwise falls back to
-    a plain mean over ``oracle.fallback_count`` sampled points.
-    """
-    if oracle.quadrature is not None:
-        integrate = oracle.quadrature.integrate
-    else:
-        x_big = np.asarray(oracle.sampler(fallback_seed, oracle.fallback_count))
-
-        def integrate(fn):
-            vals = np.asarray(fn(x_big), dtype=float)
-            if vals.ndim == 1:
-                vals = vals[:, None]
-            return vals.mean(axis=0)
-
+def eval_exact_chain(spec: CompositeSpec, oracle: QuadratureRule) -> EtaChain:
+    """Exact nested means against the law the oracle's quadrature rule
+    integrates, innermost first."""
     etas: list[np.ndarray] = []
     eta = None
     for j in range(spec.k + 1, 0, -1):
-        eta = integrate(lambda x, j=j, eta=eta: _eval_layer(spec, j, eta, x))
+        eta = oracle.integrate(lambda x, j=j, eta=eta: _eval_layer(spec, j, eta, x))
         if not np.all(np.isfinite(eta)):
             raise EvaluationError("quadrature produced non-finite mean", layer=j)
         etas.append(eta)
@@ -318,7 +304,7 @@ def layer_jacobian(spec: CompositeSpec, j: int, eta: np.ndarray,
 
 
 def propagate_direction(spec: CompositeSpec, chain: EtaChain,
-                        oracle: DistributionOracle, direction: Direction,
+                        oracle: QuadratureRule, direction: Direction,
                         *, fd_fallback: bool = False) -> np.ndarray:
     """Propagate a perturbation direction through the composition.
 
@@ -329,16 +315,13 @@ def propagate_direction(spec: CompositeSpec, chain: EtaChain,
     """
     if len(direction.d) != spec.k + 1:
         raise ConfigError(f"direction must have {spec.k + 1} entries")
-    if oracle.quadrature is None:
-        raise ConfigError("propagate_direction requires a quadrature oracle")
-    rule = oracle.quadrature
 
     xi = np.asarray(direction.d[-1], dtype=float).reshape(-1)
     if xi.shape[0] != spec.signature.dims[-1]:
         raise ConfigError("d_{k+1} has wrong dimension")
     for j in range(spec.k, 0, -1):
         eta_in = chain.input_for(j)
-        mean_jac_xi = rule.integrate(
+        mean_jac_xi = oracle.integrate(
             lambda x, j=j, eta_in=eta_in, xi=xi:
             layer_jacobian(spec, j, eta_in, x, fd_fallback=fd_fallback) @ xi)
         dj = direction.d[j - 1]
@@ -369,13 +352,13 @@ def _composite_gl(a: float, b: float, panels: int, per_panel: int):
 
 
 def normal_oracle(mean: float, std: float, *, nodes: int = 1000,
-                  width: float = 10.0) -> DistributionOracle:
-    """Oracle for a scalar normal law.
+                  width: float = 10.0) -> QuadratureRule:
+    """Quadrature rule for a scalar normal law.
 
-    Quadrature is composite Gauss-Legendre against the normal density on
-    mean +- width*std (10 nodes per panel); with the default 1000 nodes the
-    tail power integrals used by the shipped measures are accurate to
-    roughly 1e-9 relative.
+    Composite Gauss-Legendre against the normal density on mean +- width*std
+    (10 nodes per panel); with the default 1000 nodes the tail power
+    integrals used by the shipped measures are accurate to roughly 1e-9
+    relative.
     """
     if std <= 0:
         raise ConfigError("normal std must be positive")
@@ -384,16 +367,11 @@ def normal_oracle(mean: float, std: float, *, nodes: int = 1000,
     z, w = _composite_gl(-width, width, panels, per_panel)
     w = w * np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi)
     w /= w.sum()
-    x = (mean + std * z)[:, None]
-
-    def sampler(seed: int, count: int) -> np.ndarray:
-        return (mean + std * counter_normal(seed, 0, count))[:, None]
-
-    return DistributionOracle(sampler, QuadratureRule(x, w))
+    return QuadratureRule((mean + std * z)[:, None], w)
 
 
-def uniform_oracle(a: float, b: float, *, nodes: int = 1000) -> DistributionOracle:
-    """Oracle for the uniform law on [a, b] (composite Gauss-Legendre)."""
+def uniform_oracle(a: float, b: float, *, nodes: int = 1000) -> QuadratureRule:
+    """Quadrature rule for the uniform law on [a, b] (composite Gauss-Legendre)."""
     if not a < b:
         raise ConfigError("uniform law requires a < b")
     per_panel = 10
@@ -401,66 +379,33 @@ def uniform_oracle(a: float, b: float, *, nodes: int = 1000) -> DistributionOrac
     x, w = _composite_gl(a, b, panels, per_panel)
     w = w / (b - a)
     w /= w.sum()
-
-    def sampler(seed: int, count: int) -> np.ndarray:
-        return (a + (b - a) * counter_uniform(seed, 0, count))[:, None]
-
-    return DistributionOracle(sampler, QuadratureRule(x[:, None], w))
+    return QuadratureRule(x[:, None], w)
 
 
-def discrete_oracle(atoms, weights) -> DistributionOracle:
-    """Oracle for a finite discrete law; quadrature is exact."""
+def discrete_oracle(atoms, weights) -> QuadratureRule:
+    """Quadrature rule for a finite discrete law; it is exact."""
     atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
     if atoms.shape[0] == 1 and atoms.shape[1] > 1:
         atoms = atoms.T
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
         raise ConfigError("discrete weights must be nonnegative and sum to 1")
-    cum = np.cumsum(weights)
-
-    def sampler(seed: int, count: int) -> np.ndarray:
-        u = counter_uniform(seed, 0, count)
-        idx = np.searchsorted(cum, u, side="right")
-        return atoms[np.minimum(idx, len(weights) - 1)]
-
-    return DistributionOracle(sampler, QuadratureRule(atoms, weights))
+    return QuadratureRule(atoms, weights)
 
 
-def two_point_oracle(x1: float, x2: float, w: float = 0.5) -> DistributionOracle:
+def two_point_oracle(x1: float, x2: float, w: float = 0.5) -> QuadratureRule:
     """Two-atom law: P(X = x1) = w, P(X = x2) = 1 - w."""
     if not 0 < w < 1:
         raise ConfigError("two-point weight must lie in (0, 1)")
     return discrete_oracle([[x1], [x2]], [w, 1 - w])
 
 
-def product_oracle(oracles: Sequence[DistributionOracle]) -> DistributionOracle:
-    """Product law of independent scalar oracles (tensor quadrature).
+def product_oracle(oracles: Sequence[QuadratureRule]) -> QuadratureRule:
+    """Product law of independent scalar laws (tensor quadrature).
 
     The node count multiplies across coordinates, so this is intended for a
-    handful of dimensions. Coordinate j of sample row i consumes counter
-    i * m + j, which keeps coordinates decorrelated and draws reproducible.
+    handful of dimensions.
     """
-    rules = []
-    for o in oracles:
-        if o.quadrature is None:
-            raise ConfigError("product_oracle requires quadrature on every factor")
-        if o.quadrature.nodes.shape[1] != 1:
-            raise ConfigError("product_oracle factors must be one-dimensional")
-        rules.append(o.quadrature)
-    m = len(rules)
-    grids = np.meshgrid(*[r.nodes[:, 0] for r in rules], indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*[r.weights for r in rules], indexing="ij")
-    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-
-    samplers = [o.sampler for o in oracles]
-
-    def sampler(seed: int, count: int) -> np.ndarray:
-        cols = []
-        for j, s in enumerate(samplers):
-            # derive a coordinate stream by sampling count*m and striding
-            full = s(seed, count * m)[:, 0]
-            cols.append(full[j::m][:count])
-        return np.stack(cols, axis=1)
-
-    return DistributionOracle(sampler, QuadratureRule(nodes, weights))
+    if any(o.nodes.shape[1] != 1 for o in oracles):
+        raise ConfigError("product_oracle factors must be one-dimensional")
+    return QuadratureRule.product(oracles)

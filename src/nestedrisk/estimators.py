@@ -91,12 +91,8 @@ class KernelSpec:
     def _norm_moment(self, q: float, nodes_per_dim: int = 64) -> float:
         if self.dimension == 1:
             return _abs_moment_1d(self.family, q)
-        z, w = _kernel_nodes_1d(self.family, nodes_per_dim)
-        grids = np.meshgrid(*([z] * self.dimension), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        wg = np.meshgrid(*([w] * self.dimension), indexing="ij")
-        wts = np.prod(np.stack([g.ravel() for g in wg], axis=1), axis=1)
-        return float(wts @ np.linalg.norm(pts, axis=1) ** q)
+        rule = self.convolution_rule(nodes_per_dim)
+        return float(rule.weights @ np.linalg.norm(rule.nodes, axis=1) ** q)
 
     def density(self, y: np.ndarray) -> np.ndarray:
         """Product kernel density at rows of y (shape (n, dimension))."""
@@ -112,13 +108,8 @@ class KernelSpec:
     def convolution_rule(self, nodes_per_dim: int) -> QuadratureRule:
         """Tensor nodes/weights for integrating against the kernel density."""
         z, w = _kernel_nodes_1d(self.family, nodes_per_dim)
-        if self.dimension == 1:
-            return QuadratureRule(z[:, None], w)
-        grids = np.meshgrid(*([z] * self.dimension), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        wg = np.meshgrid(*([w] * self.dimension), indexing="ij")
-        wts = np.prod(np.stack([g.ravel() for g in wg], axis=1), axis=1)
-        return QuadratureRule(pts, wts)
+        rule = QuadratureRule(z[:, None], w)
+        return rule if self.dimension == 1 else QuadratureRule.product([rule] * self.dimension)
 
 
 @dataclass(frozen=True)

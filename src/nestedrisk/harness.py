@@ -4,6 +4,10 @@ Laws, a counter-based sampler (draw (i, j) of a sample is a pure function of
 (seed, i * m + j)), a replication runner whose output is byte-identical for
 any worker count, and distributional summaries (histograms, KS distances)
 for comparing replication tables against normal references.
+
+A law is the single description of P: ``sample`` is the only place that
+draws from it, and ``law.oracle()`` is the quadrature rule that integrates
+against it for exact values.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from ._rng import counter_uniform, derive_seed
-from .core import (DistributionOracle, normal_oracle, product_oracle,
+from .core import (QuadratureRule, normal_oracle, product_oracle,
                    two_point_oracle, uniform_oracle)
 from .errors import ConfigError, EvaluationError
 from .estimators import Sample
@@ -41,7 +45,7 @@ class Normal:
     def moments(self) -> tuple[float, float]:
         return self.mean, self.std ** 2
 
-    def oracle(self, nodes: int = 1000) -> DistributionOracle:
+    def oracle(self, nodes: int = 1000) -> QuadratureRule:
         return normal_oracle(self.mean, self.std, nodes=nodes)
 
 
@@ -60,7 +64,7 @@ class Uniform:
     def moments(self) -> tuple[float, float]:
         return 0.5 * (self.a + self.b), (self.b - self.a) ** 2 / 12.0
 
-    def oracle(self, nodes: int = 1000) -> DistributionOracle:
+    def oracle(self, nodes: int = 1000) -> QuadratureRule:
         return uniform_oracle(self.a, self.b, nodes=nodes)
 
 
@@ -82,7 +86,7 @@ class TwoPoint:
         var = self.w * (self.x1 - mean) ** 2 + (1 - self.w) * (self.x2 - mean) ** 2
         return mean, var
 
-    def oracle(self, nodes: int = 1000) -> DistributionOracle:
+    def oracle(self, nodes: int = 1000) -> QuadratureRule:
         return two_point_oracle(self.x1, self.x2, self.w)
 
 
@@ -99,7 +103,7 @@ class ProductLaw:
         if not self.laws:
             raise ConfigError("product law needs at least one coordinate")
 
-    def oracle(self, nodes: int = 1000) -> DistributionOracle:
+    def oracle(self, nodes: int = 1000) -> QuadratureRule:
         per = max(nodes // 10, 40) if len(self.laws) > 1 else nodes
         return product_oracle([law.oracle(per) for law in self.laws])
 
@@ -139,19 +143,15 @@ def parse_law(text: str):
     parts = [p.strip() for p in text.split("*")]
     laws = []
     for part in parts:
+        kind, _, argstr = part.partition(":")
+        kind = kind.strip().lower()
+        law = {"normal": Normal, "uniform": Uniform, "two_point": TwoPoint}.get(kind)
+        if law is None:
+            raise ConfigError(f"unknown law {kind!r}")
         try:
-            kind, _, argstr = part.partition(":")
             args = [float(v) for v in argstr.split(",")] if argstr else []
-            kind = kind.strip().lower()
-            if kind == "normal":
-                laws.append(Normal(*args))
-            elif kind == "uniform":
-                laws.append(Uniform(*args))
-            elif kind == "two_point":
-                laws.append(TwoPoint(*args))
-            else:
-                raise ConfigError(f"unknown law {kind!r}")
-        except TypeError as exc:
+            laws.append(law(*args))
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad law arguments in {part!r}: {exc}") from exc
     return laws[0] if len(laws) == 1 else ProductLaw(tuple(laws))
 

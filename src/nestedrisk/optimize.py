@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .asymptotics import asymptotic_report, chain_matrices, exact_limit_variance
-from .core import (CompositeSpec, DistributionOracle, EtaChain, _eval_layer,
+from .core import (CompositeSpec, EtaChain, QuadratureRule, _eval_layer,
                    eval_exact_chain, validate_spec)
 from .errors import ConfigError, EvaluationError
 from .estimators import (Sample, SmoothingPlan, _empirical_chain, _mixed_chain,
@@ -42,7 +42,7 @@ class ScalarProblem:
     family: Callable[[float], CompositeSpec]
     bracket: tuple[float, float]
     objective_source: str = "exact-oracle"
-    oracle: DistributionOracle | None = None
+    oracle: QuadratureRule | None = None
     sample: Sample | None = None
     plan: SmoothingPlan | None = None
 

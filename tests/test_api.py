@@ -6,7 +6,7 @@ import nestedrisk as nr
 
 PUBLIC_NAMES = [
     "AsymptoticReport", "BandwidthSchedule", "ChainMatrices", "CompositeSpec",
-    "ConfigError", "DimSignature", "Direction", "DistributionOracle",
+    "ConfigError", "DimSignature", "Direction",
     "DistributionSummary", "EstimateReport", "EtaChain", "EvaluationError",
     "HigherOrderFamily", "Histogram", "IdentityCheck", "KernelSpec", "LayerFn",
     "MeasureConfig", "MeasureParams", "Normal", "OptimalValueReport",

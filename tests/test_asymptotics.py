@@ -279,7 +279,7 @@ def test_exact_limit_variance_matches_plugin_at_scale():
     spec = msd()
     oracle = nr.normal_oracle(10.0, np.sqrt(3.0))
     exact = exact_limit_variance(spec, oracle)[0, 0]
-    s = nr.Sample(oracle.sampler(11, 200_000))
+    s = nr.sample(nr.SamplerConfig(nr.Normal(10.0, np.sqrt(3.0)), 11), 200_000)
     est = nr.estimate_empirical(spec, s)
     rep = nr.asymptotic_report(spec, s, est)
     assert rep.limit_cov[0, 0] == pytest.approx(exact, rel=0.02)
@@ -309,6 +309,15 @@ def test_exact_limit_variance_pinned_values(make, want):
     # the off-diagonal of independent components is roundoff (about 3e-11)
     np.testing.assert_allclose(exact_limit_variance(spec, oracle), want,
                                rtol=1e-12, atol=1e-9)
+
+
+@pytest.mark.parametrize("mu", [1e4, 1e6])
+def test_exact_limit_variance_is_translation_invariant(mu):
+    # mean-semideviation's limit variance does not depend on the location;
+    # a second moment minus the squared mean would cancel it away at 1e6
+    want = exact_limit_variance(msd(0.5, 2.0), nr.normal_oracle(0.0, np.sqrt(3.0)))
+    got = exact_limit_variance(msd(0.5, 2.0), nr.normal_oracle(mu, np.sqrt(3.0)))
+    np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

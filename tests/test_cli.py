@@ -203,5 +203,14 @@ def test_numerical_error_exit_code(msd_json, capsys):
 
 
 def test_bad_law_exit_code(msd_json):
-    assert run_cli(["estimate", "--measure", msd_json,
-                    "--law", "weibull:1,2"]) == 2
+    for law in ("weibull:1,2", "normal:a,b"):
+        assert run_cli(["estimate", "--measure", msd_json, "--law", law]) == 2
+
+
+@pytest.mark.parametrize("measure", ["msd_json", "ho_json"])
+@pytest.mark.parametrize("level", ["0", "1.5"])
+def test_bad_level_exit_code(measure, level, request, capsys):
+    code = run_cli(["estimate", "--measure", request.getfixturevalue(measure),
+                    "--law", f"normal:10,{SQRT3}", "--level", level])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err

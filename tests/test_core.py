@@ -81,14 +81,6 @@ def test_sequential_nesting_equivalence_on_discrete_oracle():
     assert chain.value[0] == pytest.approx(nested_empirical(spec, x)[0], rel=1e-13)
 
 
-def test_fallback_sampler_path():
-    spec = mean_spec()
-    oracle = nr.DistributionOracle(
-        nr.normal_oracle(2.0, 1.0).sampler, None, fallback_count=200_000)
-    chain = nr.eval_exact_chain(spec, oracle)
-    assert chain.value[0] == pytest.approx(2.0, abs=0.02)
-
-
 # --- propagate_direction -----------------------------------------------------
 
 def test_propagate_k0_base_case():
@@ -129,6 +121,18 @@ def test_propagate_linear_in_direction():
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
+def test_propagate_rejects_malformed_directions():
+    spec = linear_spec([np.eye(2), np.eye(2)], m=1)
+    oracle = nr.two_point_oracle(0.0, 1.0)
+    chain = nr.eval_exact_chain(spec, oracle)
+    two, three = np.ones(2), np.ones(3)
+    for d, match in [((two, two), "3 entries"),
+                     ((two, two, three), r"d_\{k\+1\}"),
+                     ((two, three, two), "entry 2")]:
+        with pytest.raises(nr.ConfigError, match=match):
+            nr.propagate_direction(spec, chain, oracle, nr.Direction(d))
+
+
 def test_propagate_inner_unit_direction_matches_finite_difference():
     # perturbing the innermost layer by a constant eps shifts the value by
     # roughly E[J1] E[J2] eps; compare against that finite-difference oracle
@@ -149,7 +153,8 @@ def test_propagate_inner_unit_direction_matches_finite_difference():
     fd = (nr.eval_exact_chain(bumped, oracle).value[0] - chain.value[0]) / eps
     assert xi[0] == pytest.approx(fd, rel=1e-5)
 
-    chains = nr.chain_matrices(spec, nr.Sample(oracle.sampler(3, 4000)), chain)
+    s = nr.sample(nr.SamplerConfig(nr.Normal(10.0, np.sqrt(3.0)), 3), 4000)
+    chains = nr.chain_matrices(spec, s, chain)
     assert xi[0] == pytest.approx(chains.C_r_T[1][0, 0], rel=0.05)
 
 
@@ -212,7 +217,23 @@ def test_dim_signature_invariants():
         DimSignature(0, 0, (1,))     # bad sample dim
 
 
+_PRODUCT = nr.ProductLaw((nr.Normal(-4.0, 2.5), nr.Uniform(-1.0, 3.0)))
+
+
+@pytest.mark.parametrize("law, j", [
+    (nr.Normal(10.0, np.sqrt(3.0)), 0), (nr.Uniform(-1.0, 3.0), 0),
+    (nr.TwoPoint(0.0, 2.0, 0.3), 0), (_PRODUCT, 0), (_PRODUCT, 1),
+], ids=["normal", "uniform", "two-point", "product-coord0", "product-coord1"])
+def test_law_oracle_agrees_with_law_moments(law, j):
+    # exact values integrate against the law that harness.sample draws from
+    ex, ex2 = law.oracle().integrate(
+        lambda x: np.stack([x[:, j], x[:, j] ** 2], axis=1))
+    mean, var = (law.laws[j] if isinstance(law, nr.ProductLaw) else law).moments()
+    assert ex == pytest.approx(mean, rel=1e-9)
+    assert ex2 - ex ** 2 == pytest.approx(var, rel=1e-9)
+
+
 def test_quadrature_rule_integrates_vector_functions():
-    rule = nr.two_point_oracle(0.0, 2.0).quadrature
+    rule = nr.two_point_oracle(0.0, 2.0)
     out = rule.integrate(lambda x: np.stack([x[:, 0], x[:, 0] ** 2], axis=1))
     np.testing.assert_allclose(out, [1.0, 2.0], rtol=1e-15)
