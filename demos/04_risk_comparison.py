@@ -52,7 +52,7 @@ n, R = 200, 1000
 joint = nr.ProductLaw((lawX, lawY))
 reference = nr.Reference(repX.theta - repY.theta, (vX + vY) / n)
 table = nr.run_replications(diff_estimator, nr.SamplerConfig(joint, 0), n, R,
-                            seed=20240, reference=reference)
+                            seed=20240)
 summary = nr.summarize_distribution(table, reference, bins=20)
 print(f"\nsimulated difference at n={n}, R={R} (uniform kernel, silverman):")
 print(f"  mean = {summary.mean:.4f} (reference {reference.mean:.4f}), "

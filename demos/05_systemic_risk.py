@@ -74,12 +74,13 @@ def sys_estimator(s):
 n, R = 200, 1000
 joint = nr.ProductLaw((lawX, lawY))
 table = nr.run_replications(sys_estimator, nr.SamplerConfig(joint, 0), n, R,
-                            seed=53, reference=nr.Reference(exact, lim.variance / n))
-se = table.summary.std[0] / np.sqrt(R)
+                            seed=53)
+summary = nr.summarize_distribution(table, nr.Reference(exact, lim.variance / n))
+se = summary.std / np.sqrt(R)
 print(f"\nsimulated systemic estimator at n={n}, R={R}:")
-print(f"  mean = {table.summary.mean[0]:.4f} vs exact {exact:.4f} "
-      f"(off by {abs(table.summary.mean[0] - exact) / se:.1f} MC standard errors)")
-print(f"  replication sd = {table.summary.std[0]:.4f}")
+print(f"  mean = {summary.mean:.4f} vs exact {exact:.4f} "
+      f"(off by {abs(summary.mean - exact) / se:.1f} MC standard errors)")
+print(f"  replication sd = {summary.std:.4f}")
 
 # the identity-padded stacked spec underlying the vector-valued limit theory
 stacked = nr.stack_specs([fam(repX.u_hat),

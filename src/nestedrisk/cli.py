@@ -3,7 +3,8 @@
 Subcommands: ``estimate`` (one-shot estimate plus confidence interval),
 ``simulate`` (replication study), ``compare`` (difference of two risks),
 ``systemic`` (component estimation plus aggregation), ``check-identity``
-(bandwidth schedule validity), ``optimize`` (optimal-value study).
+(bandwidth schedule validity), ``optimize`` (``simulate`` restricted to
+higher_order measures: an optimal-value study).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -21,11 +22,11 @@ from .core import eval_exact_chain
 from .errors import ConfigError, EvaluationError
 from .estimators import (BandwidthSchedule, KernelSpec, Sample, SmoothingPlan,
                          estimate_empirical, estimate_mixed)
-from .harness import (Reference, ReplicationTable, SamplerConfig, dumps_json,
-                      law_dimension, parse_law, run_replications, sample,
-                      summarize_distribution, summary_json)
+from .harness import (ProductLaw, Reference, ReplicationTable, SamplerConfig,
+                      dumps_json, law_dimension, parse_law, run_replications,
+                      sample, summarize_distribution, summary_json)
 from .measures import (MeasureConfig, parse_measure, systemic_limit,
-                       systemic_value, SystemicSpec, OuterAggregation)
+                       systemic_value, SystemicSpec)
 from .optimize import (ScalarProblem, default_bracket, minimize_scalar,
                        optimal_value_clt_variance)
 
@@ -135,87 +136,81 @@ def _write(args, text: str) -> None:
             fh.write(text)
 
 
-def _chain_estimator(spec, plan):
-    def run(s: Sample) -> np.ndarray:
-        report = estimate_mixed(spec, s, plan) if plan is not None \
-            else estimate_empirical(spec, s)
-        return report.value
-    return run
+def _problem(family, c: float, s: Sample, plan) -> ScalarProblem:
+    """The empirical (plan None) or mixed optimal-value problem on s."""
+    return ScalarProblem(family, default_bracket(s, c),
+                         "empirical-sample" if plan is None else "mixed-plan",
+                         sample=s, plan=plan)
 
 
-def _optimal_value_estimator(family, c: float, plan):
-    def run(s: Sample) -> float:
-        bracket = default_bracket(s, c)
-        if plan is not None:
-            prob = ScalarProblem(family, bracket, "mixed-plan", sample=s, plan=plan)
-        else:
-            prob = ScalarProblem(family, bracket, "empirical-sample", sample=s)
-        return minimize_scalar(prob, flat_check_grid=0).theta
-    return run
-
-
-def _exact_bracket(law) -> tuple[float, float]:
-    mean, var = law.moments()
-    sd = np.sqrt(var)
-    return float(mean - 6 * sd), float(mean + 12 * sd)
-
-
-def _exact_optimal(mcfg: MeasureConfig, law):
-    family = mcfg.build()
-    oracle = law.oracle()
-    prob = ScalarProblem(family, _exact_bracket(law), "exact-oracle", oracle=oracle)
-    rep = minimize_scalar(prob)
-    v = optimal_value_clt_variance(prob, None, rep.u_hat)
-    return rep, v
-
-
-def _measure_pipeline(mcfg: MeasureConfig, law, plan):
-    """(estimator, exact value, exact limit variance, spec at the exact
-    decision) for scalar pipelines."""
+def _scalar_build(mcfg: MeasureConfig):
+    """The family (higher_order) or spec of a scalar pipeline measure."""
     built = mcfg.build()
+    if mcfg.kind not in ("higher_order", "mean_semideviation",
+                         "portfolio_semideviation"):
+        raise ConfigError(f"measure kind {mcfg.kind!r} is not a scalar pipeline")
+    if mcfg.kind == "portfolio_semideviation" and mcfg.u is None:
+        raise ConfigError("portfolio measure needs an allocation 'u'")
+    return built
+
+
+def _estimator(mcfg: MeasureConfig, plan):
+    """Sample -> float: the optimal value (no flat check) of a higher_order
+    family, the chain value of any other scalar measure."""
+    built = _scalar_build(mcfg)
     if mcfg.kind == "higher_order":
-        rep, v = _exact_optimal(mcfg, law)
-        return (_optimal_value_estimator(built, mcfg.params.c, plan),
-                rep.theta, v, built(rep.u_hat))
-    if mcfg.kind in ("mean_semideviation", "portfolio_semideviation"):
-        spec = built
-        if mcfg.kind == "portfolio_semideviation":
-            if mcfg.u is None:
-                raise ConfigError("portfolio measure needs an allocation 'u'")
-        oracle = law.oracle()
-        value = float(eval_exact_chain(spec, oracle).value[0])
-        v = float(exact_limit_variance(spec, oracle)[0, 0])
-        return _chain_estimator(spec, plan), value, v, spec
-    raise ConfigError(f"measure kind {mcfg.kind!r} is not a scalar pipeline")
+        c = mcfg.params.c
+        return lambda s: minimize_scalar(_problem(built, c, s, plan),
+                                         flat_check_grid=0).theta
+    if plan is None:
+        return lambda s: float(estimate_empirical(built, s).value[0])
+    return lambda s: float(estimate_mixed(built, s, plan).value[0])
+
+
+def _exact(mcfg: MeasureConfig, law):
+    """(value, limit variance, spec at the exact decision) of a scalar
+    measure under the law's quadrature oracle."""
+    built = _scalar_build(mcfg)
+    oracle = law.oracle()
+    if mcfg.kind == "higher_order":
+        mean, var = law.moments()
+        sd = np.sqrt(var)
+        prob = ScalarProblem(built, (float(mean - 6 * sd), float(mean + 12 * sd)),
+                             "exact-oracle", oracle=oracle)
+        rep = minimize_scalar(prob)
+        v = optimal_value_clt_variance(prob, None, rep.u_hat)
+        return rep.theta, v, built(rep.u_hat)
+    value = float(eval_exact_chain(built, oracle).value[0])
+    return value, float(exact_limit_variance(built, oracle)[0, 0]), built
+
+
+def _per_column(estimators):
+    """Sample -> list: estimator i applied to column i."""
+    return lambda s: [est(Sample(s.data[:, i])) for i, est in enumerate(estimators)]
 
 
 def _systemic_pieces(mcfg: MeasureConfig, law):
     if mcfg.kind != "systemic":
         raise ConfigError("the systemic command needs a systemic measure")
-    comps = mcfg.components
-    ell = len(comps)
+    ell = len(mcfg.components)
     if law_dimension(law) != ell:
         raise ConfigError(
             f"systemic law must have one coordinate per component ({ell})")
-    laws = law.laws
-    weights = np.asarray(mcfg.params.weights, dtype=float)
-    outer = mcfg.outer
-    return comps, laws, weights, outer
+    return (mcfg.components, law.laws,
+            np.asarray(mcfg.params.weights, dtype=float), mcfg.outer)
 
 
 def cmd_estimate(args) -> int:
     mcfg = parse_measure(args.measure)
     law = parse_law(args.law)
-    plan = _plan_from_args(args, law_dimension(law))
+    systemic = mcfg.kind == "systemic"
+    plan = _plan_from_args(args, 1 if systemic else law_dimension(law))
     cfg = SamplerConfig(law, args.seed)
     s = sample(cfg, args.n)
+    config = {"measure": mcfg.to_json(), "law": repr(law), "n": s.n,
+              "seed": args.seed}
     if mcfg.kind == "higher_order":
-        family = mcfg.build()
-        bracket = default_bracket(s, mcfg.params.c)
-        if plan is not None:
-            prob = ScalarProblem(family, bracket, "mixed-plan", sample=s, plan=plan)
-        else:
-            prob = ScalarProblem(family, bracket, "empirical-sample", sample=s)
+        prob = _problem(mcfg.build(), mcfg.params.c, s, plan)
         rep = minimize_scalar(prob)
         v = optimal_value_clt_variance(prob, s, rep.u_hat)
         # the report carries the value its interval is centred on
@@ -225,24 +220,15 @@ def cmd_estimate(args) -> int:
                "limit_variance": v, "level": args.level,
                "interval": [lo, hi],
                "boundary": rep.boundary,
-               "config": {"measure": mcfg.to_json(), "law": repr(law),
-                          "n": s.n, "seed": args.seed}}
-    elif mcfg.kind == "systemic":
-        comps, laws, weights, outer = _systemic_pieces(mcfg, law)
-        values, comp_specs = [], []
-        for i, (c, l) in enumerate(zip(comps, laws)):
-            col = Sample(s.data[:, i])
-            est, _, _, spec_at = _measure_pipeline(c, l, _plan_from_args(args, 1))
-            values.append(float(np.asarray(est(col)).reshape(-1)[0]))
-            comp_specs.append(spec_at)
-        spec = SystemicSpec(tuple(comp_specs),
-                            tuple(float(w) for w in weights), outer)
-        doc = {"value": systemic_value(values, spec),
+               "config": config}
+    elif systemic:
+        comps, _, weights, outer = _systemic_pieces(mcfg, law)
+        values = _per_column([_estimator(c, plan) for c in comps])(s)
+        doc = {"value": outer.aggregate(weights, np.asarray(values)),
                "components": values,
-               "config": {"measure": mcfg.to_json(), "law": repr(law),
-                          "n": s.n, "seed": args.seed}}
+               "config": config}
     else:
-        spec = mcfg.build()
+        spec = _scalar_build(mcfg)
         report = estimate_mixed(spec, s, plan) if plan is not None \
             else estimate_empirical(spec, s)
         arep = asymptotic_report(spec, s, report, level=args.level)
@@ -250,8 +236,7 @@ def cmd_estimate(args) -> int:
                "limit_covariance": arep.limit_cov.tolist(),
                "level": args.level,
                "interval": [list(iv) for iv in arep.intervals],
-               "config": {"measure": mcfg.to_json(), "law": repr(law),
-                          "n": s.n, "seed": args.seed}}
+               "config": config}
     _write(args, dumps_json(doc))
     return 0
 
@@ -272,25 +257,22 @@ def _emit_table(args, table: ReplicationTable, reference: Reference,
 
 
 def cmd_simulate(args) -> int:
+    """The ``simulate`` and ``optimize`` subcommands; ``optimize`` accepts
+    only higher_order measures."""
     mcfg = parse_measure(args.measure)
+    if args.command == "optimize" and mcfg.kind != "higher_order":
+        raise ConfigError("the optimize command needs a higher_order measure")
     law = parse_law(args.law)
     plan = _plan_from_args(args, law_dimension(law))
-    estimator, exact, v, _ = _measure_pipeline(mcfg, law, plan)
+    exact, v, _ = _exact(mcfg, law)
     reference = Reference(exact, v / args.n)
     cfg = SamplerConfig(law, args.seed)
-    table = run_replications(estimator, cfg, args.n, args.replications,
-                             reference=reference, workers=args.workers,
+    table = run_replications(_estimator(mcfg, plan), cfg, args.n,
+                             args.replications, workers=args.workers,
                              label={"measure": mcfg.kind})
     _emit_table(args, table, reference,
                 {"exact_value": exact, "limit_variance": v})
     return 0
-
-
-def cmd_optimize(args) -> int:
-    mcfg = parse_measure(args.measure)
-    if mcfg.kind != "higher_order":
-        raise ConfigError("the optimize command needs a higher_order measure")
-    return cmd_simulate(args)
 
 
 def cmd_compare(args) -> int:
@@ -300,20 +282,19 @@ def cmd_compare(args) -> int:
     if law_dimension(l1) != 1 or law_dimension(l2) != 1:
         raise ConfigError("compare expects scalar laws")
     plan = _plan_from_args(args, 1)
-    est1, exact1, v1, _ = _measure_pipeline(m1, l1, plan)
-    est2, exact2, v2, _ = _measure_pipeline(m2, l2, plan)
+    exact1, v1, _ = _exact(m1, l1)
+    exact2, v2, _ = _exact(m2, l2)
+    columns = _per_column([_estimator(m1, plan), _estimator(m2, plan)])
 
     def diff(s: Sample) -> float:
-        a = float(np.asarray(est1(Sample(s.data[:, 0]))).reshape(-1)[0])
-        b = float(np.asarray(est2(Sample(s.data[:, 1]))).reshape(-1)[0])
+        a, b = columns(s)
         return a - b
 
-    from .harness import ProductLaw
     joint = ProductLaw((l1, l2))
     reference = Reference(exact1 - exact2, (v1 + v2) / args.n)
     table = run_replications(diff, SamplerConfig(joint, args.seed), args.n,
-                             args.replications, reference=reference,
-                             workers=args.workers, label={"measure": "difference"})
+                             args.replications, workers=args.workers,
+                             label={"measure": "difference"})
     _emit_table(args, table, reference,
                 {"exact_difference": exact1 - exact2,
                  "limit_variance": v1 + v2})
@@ -326,31 +307,27 @@ def cmd_systemic(args) -> int:
     comps, laws, weights, outer = _systemic_pieces(mcfg, law)
     plan = _plan_from_args(args, 1)
 
-    pieces = [_measure_pipeline(c, l, plan) for c, l in zip(comps, laws)]
-    exact_components = np.array([p[1] for p in pieces])
-    component_vars = np.array([p[2] for p in pieces])
-    spec = SystemicSpec(tuple(p[3] for p in pieces),
-                        tuple(float(w) for w in weights), outer)
+    values, variances, specs = zip(*(_exact(c, l) for c, l in zip(comps, laws)))
+    exact_components = np.array(values)
+    spec = SystemicSpec(specs, tuple(float(w) for w in weights), outer)
     exact_sys = systemic_value(exact_components, spec)
 
     # delta-method reference variance through the aggregation's directional
     # derivative at the exact component vector (independent components)
-    limit_cov = np.diag(component_vars)
+    limit_cov = np.diag(variances)
     report = AsymptoticReport.from_limit_cov(limit_cov, args.n,
                                              value=exact_components)
     lim = systemic_limit(spec, report, args.limit_samples, args.seed + 1)
 
-    estimators_ = [p[0] for p in pieces]
+    columns = _per_column([_estimator(c, plan) for c in comps])
 
     def sys_est(s: Sample) -> float:
-        vals = [float(np.asarray(est(Sample(s.data[:, i]))).reshape(-1)[0])
-                for i, est in enumerate(estimators_)]
-        return systemic_value(vals, spec)
+        return systemic_value(columns(s), spec)
 
     reference = Reference(exact_sys, lim.variance / args.n)
     table = run_replications(sys_est, SamplerConfig(law, args.seed), args.n,
-                             args.replications, reference=reference,
-                             workers=args.workers, label={"measure": "systemic"})
+                             args.replications, workers=args.workers,
+                             label={"measure": "systemic"})
     _emit_table(args, table, reference,
                 {"exact_value": exact_sys,
                  "exact_components": exact_components.tolist(),
@@ -379,7 +356,7 @@ _COMMANDS = {
     "compare": cmd_compare,
     "systemic": cmd_systemic,
     "check-identity": cmd_check_identity,
-    "optimize": cmd_optimize,
+    "optimize": cmd_simulate,
 }
 
 

@@ -60,11 +60,6 @@ class DimSignature:
     def m0(self) -> int:
         return self.dims[0]
 
-    @property
-    def total(self) -> int:
-        """M = m0 + m1 + ... + mk, the stacked per-layer output dimension."""
-        return int(sum(self.dims))
-
 
 @dataclass(frozen=True)
 class PowerMaxForm:
@@ -130,7 +125,8 @@ class CompositeSpec:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights integrating vector functions against a distribution."""
+    """Nodes/weights integrating vector functions against a distribution:
+    the weights are finite, nonnegative and sum to 1 within 1e-12."""
 
     nodes: np.ndarray    # (q, m)
     weights: np.ndarray  # (q,)
@@ -140,10 +136,11 @@ class QuadratureRule:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.nodes.shape[0] != self.weights.shape[0]:
             raise ConfigError("quadrature nodes and weights disagree in length")
-
-    @property
-    def node_count(self) -> int:
-        return self.nodes.shape[0]
+        w = self.weights
+        if not (np.all(np.isfinite(w)) and np.all(w >= 0)
+                and abs(w.sum() - 1.0) <= 1e-12):
+            raise ConfigError(
+                "quadrature weights must be finite, nonnegative and sum to 1")
 
     def integrate(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         vals = np.asarray(fn(self.nodes), dtype=float)
@@ -387,9 +384,6 @@ def discrete_oracle(atoms, weights) -> QuadratureRule:
     atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
     if atoms.shape[0] == 1 and atoms.shape[1] > 1:
         atoms = atoms.T
-    weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-        raise ConfigError("discrete weights must be nonnegative and sum to 1")
     return QuadratureRule(atoms, weights)
 
 

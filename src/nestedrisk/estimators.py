@@ -375,6 +375,17 @@ def _smoothed_layer_mean(spec: CompositeSpec, j: int, eta: np.ndarray | None,
     return per_sample.mean(axis=0)
 
 
+def _check_plan(spec: CompositeSpec, sample: Sample, plan: SmoothingPlan) -> None:
+    """Reject a plan whose kernel dimension is not the sample's, or whose J
+    names a layer beyond k+1."""
+    if plan.kernel.dimension != sample.m:
+        raise ConfigError(
+            f"kernel dimension {plan.kernel.dimension} does not match sample "
+            f"dimension {sample.m}")
+    if any(j > spec.k + 1 for j in plan.J):
+        raise ConfigError("smoothing set J references a layer beyond k+1")
+
+
 def _mixed_chain(spec: CompositeSpec, sample: Sample, plan: SmoothingPlan,
                  h: float) -> EtaChain:
     """Mixed per-layer means at a fixed bandwidth, without validation."""
@@ -400,12 +411,7 @@ def estimate_mixed(spec: CompositeSpec, sample: Sample,
         report = estimate_empirical(spec, sample)
         return EstimateReport(report.value, report.chain, plan, report.n)
     _require_valid(spec, sample)
-    if plan.kernel.dimension != sample.m:
-        raise ConfigError(
-            f"kernel dimension {plan.kernel.dimension} does not match sample "
-            f"dimension {sample.m}")
-    if any(j > spec.k + 1 for j in plan.J):
-        raise ConfigError("smoothing set J references a layer beyond k+1")
+    _check_plan(spec, sample, plan)
     h = bandwidth(plan.schedule, sample.n, sample.std_scale())
     chain = _mixed_chain(spec, sample, plan, h)
     return EstimateReport(chain.value, chain, plan, sample.n)

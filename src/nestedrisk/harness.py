@@ -119,10 +119,6 @@ class SamplerConfig:
     law: object
     seed: int = 0
 
-    @property
-    def dimension(self) -> int:
-        return law_dimension(self.law)
-
 
 def sample(config: SamplerConfig, n: int) -> Sample:
     """Draw an n x m sample; entry (i, j) consumes counter i * m + j of the
@@ -169,27 +165,18 @@ class Reference:
 
 
 @dataclass(frozen=True)
-class TableSummary:
-    mean: np.ndarray
-    std: np.ndarray
-    bias: np.ndarray | None
-    ks: float | None
-
-
-@dataclass(frozen=True)
 class ReplicationTable:
-    """Seeded replication outcomes plus the config echo and summary."""
+    """Seeded replication outcomes plus the config echo; summaries come
+    from ``summarize_distribution``."""
 
     estimates: np.ndarray          # (R, d)
     config: dict
-    reference: Reference | None
-    summary: TableSummary
 
     @property
     def replications(self) -> int:
         return self.estimates.shape[0]
 
-    def to_csv(self, out=None) -> str | None:
+    def to_csv(self) -> str:
         """Estimates CSV: header replication,value[,coord...]; floats carry
         17 significant digits."""
         d = self.estimates.shape[1]
@@ -198,29 +185,12 @@ class ReplicationTable:
         for r in range(self.estimates.shape[0]):
             row = ",".join(format_float(v) for v in self.estimates[r])
             lines.append(f"{r},{row}")
-        text = "\n".join(lines) + "\n"
-        if out is None:
-            return text
-        _write_text(out, text)
-        return None
-
-
-def _table_summary(estimates: np.ndarray, reference: Reference | None) -> TableSummary:
-    mean = estimates.mean(axis=0)
-    std = estimates.std(axis=0, ddof=1) if estimates.shape[0] > 1 else np.zeros_like(mean)
-    bias = None
-    ks = None
-    if reference is not None:
-        bias = mean - reference.mean
-        if estimates.shape[1] == 1 and estimates.shape[0] > 1 and reference.variance > 0:
-            ks = ks_distance(estimates[:, 0], reference.mean, reference.variance)
-    return TableSummary(mean, std, bias, ks)
+        return "\n".join(lines) + "\n"
 
 
 def run_replications(estimator: Callable[[Sample], object],
                      config: SamplerConfig, n: int, replications: int,
                      *, seed: int | None = None,
-                     reference: Reference | None = None,
                      workers: int = 1,
                      label: dict | None = None) -> ReplicationTable:
     """Run seeded replications of an estimator.
@@ -253,8 +223,7 @@ def run_replications(estimator: Callable[[Sample], object],
             "law": repr(config.law)}
     if label:
         echo.update(label)
-    return ReplicationTable(estimates, echo, reference,
-                            _table_summary(estimates, reference))
+    return ReplicationTable(estimates, echo)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +290,8 @@ def summarize_distribution(table: ReplicationTable, reference: Reference,
                            coord: int = 0) -> DistributionSummary:
     """Density histogram over [min, max], the reference normal density at
     bin centers, bias/std, and the KS distance against the reference."""
+    if bins is not None and bins < 1:
+        raise ConfigError("histogram bins must be >= 1")
     if table.replications < 2:
         raise ConfigError("summaries need at least two replications")
     vals = table.estimates[:, coord]

@@ -249,11 +249,6 @@ class SystemicSpec:
     def weight_vector(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
 
-    def stacked_spec(self) -> CompositeSpec:
-        """Single vector-valued spec over the concatenated sample space,
-        components padded to a common depth with identity layers."""
-        return stack_specs(self.components)
-
 
 def _identity_layer(index: int) -> LayerFn:
     def ev(eta, x):
@@ -502,10 +497,13 @@ def parse_measure(doc) -> MeasureConfig:
             weights = doc.get("weights")
             if weights is None:
                 weights = [1.0 / len(comps)] * len(comps)
-            return MeasureConfig(
-                kind,
-                MeasureParams(weights=tuple(float(w) for w in weights)),
-                components=comps, outer=outer)
+            params = MeasureParams(weights=tuple(float(w) for w in weights))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid measure parameters: {exc}") from exc
-    raise ConfigError(f"unknown measure kind {kind!r}")
+    # only the systemic branch gets here: its weights-length error is not
+    # a parameter-parsing error, and reads as SystemicSpec's does
+    if kind != "systemic":
+        raise ConfigError(f"unknown measure kind {kind!r}")
+    if len(params.weights) != len(comps):
+        raise ConfigError("one weight per component is required")
+    return MeasureConfig(kind, params, components=comps, outer=outer)

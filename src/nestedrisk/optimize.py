@@ -21,9 +21,9 @@ from .asymptotics import asymptotic_report, chain_matrices, exact_limit_variance
 from .core import (CompositeSpec, EtaChain, QuadratureRule, _eval_layer,
                    eval_exact_chain, validate_spec)
 from .errors import ConfigError, EvaluationError
-from .estimators import (Sample, SmoothingPlan, _empirical_chain, _mixed_chain,
-                         _powermax_uniform_mean, _smoothed_layer_mean, bandwidth,
-                         estimate_empirical)
+from .estimators import (Sample, SmoothingPlan, _check_plan, _empirical_chain,
+                         _mixed_chain, _powermax_uniform_mean,
+                         _smoothed_layer_mean, bandwidth, estimate_empirical)
 from .measures import stack_specs
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -61,7 +61,9 @@ class ScalarProblem:
             raise ConfigError("mixed-plan problems need a sample and a plan")
 
     def objective(self) -> Callable[[float], float]:
-        """Scalar objective u -> estimated/exact composite value."""
+        """Scalar objective u -> estimated/exact composite value. The spec
+        at the bracket midpoint is validated, and a mixed plan checked
+        against it, once per call rather than once per u."""
         probe = self.family(0.5 * sum(self.bracket))
         result = validate_spec(probe)
         if not result.ok:
@@ -80,6 +82,7 @@ class ScalarProblem:
                 return float(_empirical_chain(self.family(u), data).value[0])
             return fn
         sample, plan = self.sample, self.plan
+        _check_plan(probe, sample, plan)
         h = bandwidth(plan.schedule, sample.n, sample.std_scale())
 
         def fn(u: float) -> float:
@@ -109,7 +112,6 @@ class OptimalValueReport:
     iterations: int
     boundary: bool = False
     flat: bool = False
-    limit_variance: float | None = None
 
 
 def minimize_scalar(problem: ScalarProblem, tol: float = 1e-8,

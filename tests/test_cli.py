@@ -1,7 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
+import nestedrisk as nr
+from nestedrisk._rng import derive_seed
 from nestedrisk.cli import main
 
 
@@ -94,6 +97,23 @@ def test_simulate_summary_json(msd_json, tmp_path):
     assert doc["config"]["n"] == 64
 
 
+def test_simulate_smoothed_rows_are_estimate_mixed(msd_json, tmp_path):
+    out = tmp_path / "sim.csv"
+    code = run_cli(["simulate", "--measure", msd_json,
+                    "--law", f"normal:10,{SQRT3}", "--n", "64",
+                    "--replications", "3", "--seed", "3",
+                    "--kernel", "gaussian", "--format", "csv", "--out", str(out)])
+    assert code == 0
+    rows = [float(line.split(",")[1]) for line in out.read_text().split("\n")[1:-1]]
+    spec = nr.make_mean_semideviation(nr.MeasureParams(kappa=0.5, p=2.0))
+    plan = nr.SmoothingPlan(frozenset({2}), nr.KernelSpec("gaussian", 1, 2.0),
+                            nr.BandwidthSchedule("silverman"))
+    cfgs = [nr.SamplerConfig(nr.Normal(10.0, float(SQRT3)), derive_seed(3, r))
+            for r in range(3)]
+    assert rows == [nr.estimate_mixed(spec, nr.sample(cfg, 64), plan).value[0]
+                    for cfg in cfgs]
+
+
 def test_summary_json_and_histogram_share_one_summary(msd_json, tmp_path,
                                                       monkeypatch):
     import nestedrisk.cli as cli
@@ -140,6 +160,28 @@ def test_systemic_runs(sys_json, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["exact_value"] == pytest.approx(23.3704, abs=2e-3)
     assert "limit_quantiles" in doc and "limit_variance" in doc
+
+
+def test_estimate_on_systemic_measure(sys_json, tmp_path):
+    out = tmp_path / "est_sys.json"
+    code = run_cli(["estimate", "--measure", sys_json,
+                    "--law", f"normal:10,{SQRT3}*normal:20,{SQRT5}",
+                    "--n", "200", "--seed", "7", "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    law = nr.ProductLaw((nr.Normal(10.0, float(SQRT3)), nr.Normal(20.0, float(SQRT5))))
+    s = nr.sample(nr.SamplerConfig(law, 7), 200)
+    fam = nr.make_higher_order_family(nr.MeasureParams(c=20.0, p=2.0))
+    thetas = []
+    for i in range(2):
+        col = nr.Sample(s.data[:, i])
+        prob = nr.ScalarProblem(fam, nr.default_bracket(col, 20.0),
+                                "empirical-sample", sample=col)
+        thetas.append(nr.minimize_scalar(prob, flat_check_grid=0).theta)
+    outer = nr.OuterAggregation("mean_semideviation", kappa=0.5, p=2.0)
+    spec = nr.SystemicSpec((fam(10.0), fam(20.0)), (0.5, 0.5), outer)
+    assert doc["components"] == thetas
+    assert doc["value"] == nr.systemic_value(thetas, spec)
 
 
 def test_optimize_runs(ho_json, tmp_path):
@@ -214,3 +256,42 @@ def test_bad_level_exit_code(measure, level, request, capsys):
                     "--law", f"normal:10,{SQRT3}", "--level", level])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+_LAW = f"normal:10,{SQRT3}"
+_LAWS = f"normal:10,{SQRT3}*normal:20,{SQRT5}"
+_MISMATCH = json.dumps({"kind": "systemic", "weights": [0.5, 0.5, 0.0],
+                        "components": [{"kind": "higher_order"}] * 2})
+_NO_ALLOCATION = '{"kind": "portfolio_semideviation", "m": 2}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--measure", "msd", "--law", _LAW, "--kernel", "uniform",
+     "--bandwidth", "power:1"],
+    ["estimate", "--measure", "msd", "--law", _LAW, "--kernel", "uniform",
+     "--bandwidth", "scott"],
+    ["estimate", "--measure", "msd", "--law", _LAW, "--kernel", "uniform",
+     "--smooth-layers", "a"],
+    ["compare", "--measure", "msd", "--law", _LAWS, "--law2", _LAW],
+    ["systemic", "--measure", "msd", "--law", _LAWS],
+    ["systemic", "--measure", "sys", "--law", _LAW],
+    ["optimize", "--measure", "msd", "--law", _LAW],
+    ["estimate", "--measure", _MISMATCH, "--law", _LAWS],
+    ["systemic", "--measure", _MISMATCH, "--law", _LAWS],
+    ["estimate", "--measure", "ho", "--law", _LAW, "--kernel", "uniform",
+     "--smooth-layers", "3"],
+    ["simulate", "--measure", "msd", "--law", _LAW, "--bins", "0"],
+    ["estimate", "--measure", _NO_ALLOCATION, "--law", _LAWS],
+    ["simulate", "--measure", "sys", "--law", _LAWS],
+], ids=["power-bandwidth-arity", "unknown-bandwidth", "smooth-layers-text",
+        "compare-product-law", "systemic-scalar-measure", "systemic-law-dimension",
+        "optimize-scalar-chain", "estimate-weights-length",
+        "systemic-weights-length", "smooth-layers-beyond-k+1", "zero-bins",
+        "portfolio-without-allocation", "simulate-systemic-measure"])
+def test_config_error_paths_exit_2(argv, msd_json, ho_json, sys_json, capsys):
+    paths = {"msd": msd_json, "ho": ho_json, "sys": sys_json}
+    argv = [paths.get(a, a) for a in argv]
+    if argv[0] != "estimate":
+        argv += ["--replications", "4"]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")

@@ -237,3 +237,11 @@ def test_quadrature_rule_integrates_vector_functions():
     rule = nr.two_point_oracle(0.0, 2.0)
     out = rule.integrate(lambda x: np.stack([x[:, 0], x[:, 0] ** 2], axis=1))
     np.testing.assert_allclose(out, [1.0, 2.0], rtol=1e-15)
+
+
+@pytest.mark.parametrize("weights", [[1.0, 1.0], [-0.5, 1.5], [np.nan, 1.0],
+                                     [np.inf, -np.inf]])
+def test_quadrature_rule_rejects_weights_that_are_not_a_law(weights):
+    # a rule is the oracle: weights summing to 2 would double every mean
+    with pytest.raises(nr.ConfigError):
+        nr.QuadratureRule([[0.0], [2.0]], weights)

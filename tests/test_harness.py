@@ -110,9 +110,10 @@ def test_table_summary_against_reference():
     law = nr.Normal(0.0, 1.0)
     ref = nr.Reference(0.0, 1.0 / 256)
     tab = nr.run_replications(_mean_estimator, nr.SamplerConfig(law, 0), 256, 400,
-                              seed=2, reference=ref)
-    assert abs(tab.summary.bias[0]) < 4 / np.sqrt(256 * 400)
-    assert tab.summary.ks is not None and tab.summary.ks < 0.08
+                              seed=2)
+    summary = nr.summarize_distribution(tab, ref)
+    assert abs(summary.bias) < 4 / np.sqrt(256 * 400)
+    assert summary.ks is not None and summary.ks < 0.08
 
 
 def test_csv_format():
@@ -161,12 +162,10 @@ def test_ks_synthetic_normal_table_small():
 
 # --- summaries ----------------------------------------------------------------------
 
-def _toy_table(values, reference=None):
+def _toy_table(values):
     est = np.asarray(values, dtype=float)[:, None]
-    from nestedrisk.harness import _table_summary
     return nr.ReplicationTable(est, {"n": 0, "replications": len(values),
-                                     "seed": 0, "law": "toy"},
-                               reference, _table_summary(est, reference))
+                                     "seed": 0, "law": "toy"})
 
 
 def test_summary_degenerate_flag():
@@ -240,8 +239,8 @@ def test_tracked_bias_reduction_of_kernel_smoothing(capsys):
     n, R = 30, 2000
     tab_e = nr.run_replications(emp, nr.SamplerConfig(law, 0), n, R, seed=71)
     tab_k = nr.run_replications(kern, nr.SamplerConfig(law, 0), n, R, seed=71)
-    bias_e = tab_e.summary.mean[0] - theta
-    bias_k = tab_k.summary.mean[0] - theta
+    bias_e = tab_e.estimates[:, 0].mean() - theta
+    bias_k = tab_k.estimates[:, 0].mean() - theta
     print(f"\n[tracked] n={n} R={R}: |bias| empirical={abs(bias_e):.4f} "
           f"kernel={abs(bias_k):.4f} (smaller is better)")
     assert np.isfinite(bias_e) and np.isfinite(bias_k)

@@ -93,6 +93,22 @@ def test_problem_validation():
                          sample=nr.Sample(np.array([1.0])))
 
 
+@pytest.mark.parametrize("J, kernel, dim", [({3}, "uniform", 1), ({2}, "uniform", 2),
+                                            ({2}, "gaussian", 2)],
+                         ids=["J-beyond-k+1", "uniform-dim-2", "gaussian-dim-2"])
+def test_mixed_problem_rejects_plans_that_estimate_mixed_rejects(J, kernel, dim):
+    s = nr.sample(nr.SamplerConfig(nr.Normal(10.0, SQ3), 1), 200)
+    plan = nr.SmoothingPlan(frozenset(J), nr.KernelSpec(kernel, dim, 2.0),
+                            nr.BandwidthSchedule("silverman"))
+    fam = ho_family(c=4.0)
+    with pytest.raises(nr.ConfigError):
+        nr.estimate_mixed(fam(12.0), s, plan)
+    prob = nr.ScalarProblem(fam, nr.default_bracket(s, 4.0), "mixed-plan",
+                            sample=s, plan=plan)
+    with pytest.raises(nr.ConfigError):
+        nr.minimize_scalar(prob, flat_check_grid=0)
+
+
 # --- optimal_value_clt_variance ------------------------------------------------------
 
 def test_variance_zero_for_point_mass_sample():
