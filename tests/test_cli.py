@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 import nestedrisk as nr
