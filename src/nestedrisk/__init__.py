@@ -9,12 +9,12 @@ intervals, and validating the normal limits by seeded Monte Carlo.
 from .asymptotics import (AsymptoticReport, ChainMatrices, SigmaEstimate,
                           asymptotic_report, chain_matrices,
                           confidence_interval, exact_limit_variance,
-                          limit_variance, plugin_sigma)
+                          limit_variance, plugin_sigma, propagate_direction)
 from .core import (CompositeSpec, DimSignature, Direction, EtaChain,
                    LayerFn, PowerMaxForm, QuadratureRule,
                    ValidationResult, discrete_oracle, eval_exact_chain,
-                   normal_oracle, product_oracle, propagate_direction,
-                   two_point_oracle, uniform_oracle, validate_spec)
+                   normal_oracle, product_oracle, two_point_oracle,
+                   uniform_oracle, validate_spec)
 from .errors import ConfigError, EvaluationError
 from .estimators import (BandwidthSchedule, EstimateReport, IdentityCheck,
                          KernelSpec, Sample, SmoothingPlan, bandwidth,

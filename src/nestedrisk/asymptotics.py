@@ -7,8 +7,8 @@ chain into matrices C_r, and in the differentiable case
     sqrt(n) (rho_hat - rho)  ->  N(0, C^T Sigma_g C),
 
 with C^T = (I, C_1^T, ..., C_k^T) and C_r^T the product of the first r
-expected Jacobians. Everything here is evaluated at the sample's own
-plug-in chain point.
+expected Jacobians. Both are taken over a point set: a sample, at its
+own plug-in chain point, or a law's quadrature rule, at the exact chain.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .core import (CompositeSpec, EtaChain, QuadratureRule, _eval_layer,
-                   eval_exact_chain, layer_jacobian)
+from .core import (CompositeSpec, Direction, EtaChain, QuadratureRule, _chain,
+                   _check_points, _eval_layer, layer_jacobian)
 from .errors import ConfigError, EvaluationError
 from .estimators import EstimateReport, Sample
 
@@ -88,44 +88,34 @@ def _layer_values(spec: CompositeSpec, x: np.ndarray, chain: EtaChain) -> np.nda
     return np.concatenate(rows, axis=0)
 
 
-def _stacked_covariance(rows: np.ndarray,
-                        weights: np.ndarray | None = None) -> np.ndarray:
-    """Symmetrized covariance of layer-major stacked evaluations (M, n).
+def _sigma(spec: CompositeSpec, x: np.ndarray, chain: EtaChain,
+           weights: np.ndarray | None = None) -> np.ndarray:
+    """Covariance of the stacked layer evaluations at the chain point over
+    the point set x: the 1/n covariance of the rows, or with quadrature
+    weights the weighted one. Rows are centred before the Gram product,
+    which keeps the digits that the second moment minus the squared mean
+    would cancel on a law far from 0.
 
-    Without weights it is the 1/n sample covariance, one centred Gram
-    product; with quadrature weights over the n columns it is the weighted
-    Gram product of the rows centred by their weighted mean. Centring first
-    keeps the digits that the second moment minus the squared mean would
-    cancel on a law far from 0.
-    """
-    if weights is None:
-        dev = rows - rows.mean(axis=1, keepdims=True)
-        full = dev @ dev.T / rows.shape[1]
-    else:
-        dev = rows - (rows @ weights)[:, None]
-        full = (dev * weights) @ dev.T
-    return 0.5 * (full + full.T)
-
-
-def plugin_sigma(spec: CompositeSpec, sample: Sample, chain: EtaChain) -> SigmaEstimate:
-    """Plug-in estimate of the stacked-evaluation covariance Sigma_g.
-
-    Block (a, b) is the sample covariance (1/n convention) between the
-    layer-a and layer-b evaluations, each at the plug-in chain point.
     Roundoff-scale negative eigenvalues are clipped; genuinely negative
     spectra raise. A covariance that overflows raises EvaluationError
     naming the first layer whose variance is non-finite.
     """
-    if sample.n < 2:
-        raise ConfigError("covariance needs at least two observations")
-    dims = spec.signature.dims
-    offsets = np.concatenate([[0], np.cumsum(dims)])
+    _check_points(spec, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        full = _stacked_covariance(_layer_values(spec, sample.data, chain))
+        rows = _layer_values(spec, x, chain)
+        if weights is None:
+            dev = rows - rows.mean(axis=1, keepdims=True)
+            full = dev @ dev.T / rows.shape[1]
+        else:
+            dev = rows - (rows @ weights)[:, None]
+            full = (dev * weights) @ dev.T
+        full = 0.5 * (full + full.T)
     if not np.all(np.isfinite(full)):
         # an entry overflows only where a variance on its row or column does
         bad = np.flatnonzero(~np.isfinite(np.diag(full)))[0]
-        raise EvaluationError("plug-in covariance is non-finite (overflow)",
+        offsets = np.concatenate([[0], np.cumsum(spec.signature.dims)])
+        raise EvaluationError("covariance of the layer evaluations is non-finite "
+                              "(overflow)",
                               layer=int(np.searchsorted(offsets, bad, side="right")))
 
     scale = max(float(np.trace(full)), 0.0)
@@ -133,13 +123,27 @@ def plugin_sigma(spec: CompositeSpec, sample: Sample, chain: EtaChain) -> SigmaE
         min_eig = float(np.linalg.eigvalsh(full)[0])
         if min_eig < -PSD_TOL * scale:
             raise EvaluationError(
-                f"plug-in covariance has negative eigenvalue {min_eig:g} "
-                f"beyond roundoff tolerance")
+                f"covariance of the layer evaluations has negative eigenvalue "
+                f"{min_eig:g} beyond roundoff tolerance")
         if min_eig < 0:
             lam, q = np.linalg.eigh(full)
             full = (q * np.maximum(lam, 0.0)) @ q.T
             full = 0.5 * (full + full.T)
+    return full
 
+
+def plugin_sigma(spec: CompositeSpec, sample: Sample, chain: EtaChain) -> SigmaEstimate:
+    """Plug-in estimate of the stacked-evaluation covariance Sigma_g.
+
+    Block (a, b) is the sample covariance (1/n convention) between the
+    layer-a and layer-b evaluations, each at the plug-in chain point;
+    ``full`` is checked and clipped as described in ``_sigma``.
+    """
+    if sample.n < 2:
+        raise ConfigError("covariance needs at least two observations")
+    dims = spec.signature.dims
+    offsets = np.concatenate([[0], np.cumsum(dims)])
+    full = _sigma(spec, sample.data, chain)
     blocks = tuple(
         tuple(full[offsets[a]:offsets[a + 1], offsets[b]:offsets[b + 1]]
               for b in range(len(dims)))
@@ -157,6 +161,7 @@ def _chain_products(spec: CompositeSpec, chain: EtaChain, x: np.ndarray,
     eta^(1/p - 1) at eta = 0) raises EvaluationError naming the layer; numpy
     warnings are silenced while evaluating, so this check is the one report.
     """
+    _check_points(spec, x)
     m0 = spec.signature.m0
     jmeans: list[np.ndarray] = []
     crs: list[np.ndarray] = []
@@ -206,52 +211,81 @@ def limit_variance(sigma: SigmaEstimate, chains: ChainMatrices,
     return float(w @ cov @ w)
 
 
+def _intervals(value, limit_cov, n: int, level: float):
+    """Per-coordinate normal intervals value_i -+ z sqrt(limit_cov_ii / n)."""
+    if not 0.0 < level < 1.0:
+        raise ConfigError("confidence level must lie in (0, 1)")
+    z = float(ndtri(0.5 + level / 2.0))
+    value = np.asarray(value, dtype=float).reshape(-1)
+    variances = np.diag(np.atleast_2d(limit_cov))
+    if variances.shape[0] != value.shape[0]:
+        raise ConfigError("limit covariance does not match estimate dimension")
+    half = z * np.sqrt(np.maximum(variances, 0.0) / n)
+    return tuple((float(v - hw), float(v + hw)) for v, hw in zip(value, half))
+
+
 def confidence_interval(estimate: EstimateReport, report: AsymptoticReport,
                         level: float):
     """Per-coordinate normal confidence intervals at the given level.
 
     Half-width is z_{1-alpha/2} * sqrt(limit_cov_ii / n).
     """
-    if not 0.0 < level < 1.0:
-        raise ConfigError("confidence level must lie in (0, 1)")
-    z = float(ndtri(0.5 + level / 2.0))
-    value = np.asarray(estimate.value, dtype=float).reshape(-1)
-    variances = np.diag(np.atleast_2d(report.limit_cov))
-    if variances.shape[0] != value.shape[0]:
-        raise ConfigError("limit covariance does not match estimate dimension")
-    half = z * np.sqrt(np.maximum(variances, 0.0) / report.n)
-    return tuple((float(v - hw), float(v + hw)) for v, hw in zip(value, half))
+    return _intervals(estimate.value, report.limit_cov, report.n, level)
 
 
 def exact_limit_variance(spec: CompositeSpec,
                          oracle: QuadratureRule | None) -> np.ndarray:
-    """Limit covariance with Sigma_g and the chain matrices computed by the
-    oracle's quadrature at the exact chain (reference values for simulations).
+    """Limit covariance C^T Sigma_g C with Sigma_g and the chain matrices
+    computed by the oracle's quadrature at the exact chain (reference values
+    for simulations).
 
-    Raises EvaluationError naming the layer whose expected Jacobian is
-    non-finite."""
+    Raises EvaluationError naming the layer whose expected Jacobian, or
+    else whose variance, is non-finite."""
     if oracle is None:
         raise ConfigError("exact_limit_variance needs a quadrature oracle")
-    chain = eval_exact_chain(spec, oracle)
-    ct = _chain_products(spec, chain, oracle.nodes, oracle.weights).stacked
-
-    sigma_full = _stacked_covariance(_layer_values(spec, oracle.nodes, chain),
-                                     oracle.weights)
-    cov = ct @ sigma_full @ ct.T
+    x, w = oracle.nodes, oracle.weights
+    chain = _chain(spec, x, w)
+    ct = _chain_products(spec, chain, x, w).stacked
+    cov = ct @ _sigma(spec, x, chain, w) @ ct.T
     return 0.5 * (cov + cov.T)
 
 
+def propagate_direction(spec: CompositeSpec, chain: EtaChain,
+                        oracle: QuadratureRule, direction: Direction,
+                        *, fd_fallback: bool = False) -> np.ndarray:
+    """Propagate a perturbation direction through the composition.
+
+    Computes xi_1(d) by the backward recursion xi_{k+1} = d_{k+1},
+    xi_j = E[J_j(eta_{j+1}, X)] xi_{j+1} + d_j(eta_{j+1}), with the
+    expected Jacobians of the chain matrices under the oracle; in the
+    differentiable case this is the chain-matrix linearization of the
+    composite at the exact chain point.
+    """
+    if len(direction.d) != spec.k + 1:
+        raise ConfigError(f"direction must have {spec.k + 1} entries")
+    xi = np.asarray(direction.d[-1], dtype=float).reshape(-1)
+    if xi.shape[0] != spec.signature.dims[-1]:
+        raise ConfigError("d_{k+1} has wrong dimension")
+    jmeans = _chain_products(spec, chain, oracle.nodes, oracle.weights,
+                             fd_fallback=fd_fallback).jacobian_means
+    for j in range(spec.k, 0, -1):
+        eta_in = chain.input_for(j)
+        dj = direction.d[j - 1]
+        dj_val = np.asarray(dj(eta_in) if callable(dj) else dj, dtype=float).reshape(-1)
+        if dj_val.shape[0] != spec.signature.dims[j - 1]:
+            raise ConfigError(f"direction entry {j} has wrong dimension")
+        xi = jmeans[j - 1] @ xi + dj_val
+    return xi
+
+
 def asymptotic_report(spec: CompositeSpec, sample: Sample,
-                      estimate: EstimateReport, *, level: float | None = None,
-                      fd_fallback: bool = True) -> AsymptoticReport:
+                      estimate: EstimateReport, *,
+                      level: float | None = None) -> AsymptoticReport:
     """Assemble sigma, chain matrices, limit covariance, and intervals for a
     plug-in estimate (evaluated at the estimate's own chain)."""
     sigma = plugin_sigma(spec, sample, estimate.chain)
-    chains = chain_matrices(spec, sample, estimate.chain, fd_fallback=fd_fallback)
+    chains = chain_matrices(spec, sample, estimate.chain)
     cov = limit_variance(sigma, chains)
-    report = AsymptoticReport(sigma, chains, cov, sample.n, None, estimate.value)
-    if level is not None:
-        intervals = confidence_interval(estimate, report, level)
-        report = AsymptoticReport(sigma, chains, cov, sample.n, intervals,
-                                  estimate.value)
-    return report
+    intervals = None if level is None \
+        else _intervals(estimate.value, cov, sample.n, level)
+    return AsymptoticReport(sigma, chains, cov, sample.n, intervals, estimate.value)

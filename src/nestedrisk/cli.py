@@ -173,6 +173,9 @@ def _exact(mcfg: MeasureConfig, law):
     built = _scalar_build(mcfg)
     oracle = law.oracle()
     if mcfg.kind == "higher_order":
+        if law_dimension(law) != 1:
+            raise ConfigError(
+                f"law dimension {law_dimension(law)} does not match spec dimension 1")
         mean, var = law.moments()
         sd = np.sqrt(var)
         prob = ScalarProblem(built, (float(mean - 6 * sd), float(mean + 12 * sd)),

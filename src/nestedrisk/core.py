@@ -15,7 +15,10 @@ layer receives ``X`` alone.
 
 The law P of X enters exact evaluation only as a ``QuadratureRule``: the
 ``*_oracle`` constructors build the rule for a law, and that rule is the
-oracle. Samples from a law are drawn by ``harness.sample`` alone.
+oracle. Samples from a law are drawn by ``harness.sample`` alone. Exact
+evaluation, the plug-in estimators and the solvers' objectives all take
+their nested means in ``_chain``, over a point set: the rows of a sample,
+or the nodes of a rule with its weights.
 """
 
 from __future__ import annotations
@@ -211,11 +214,48 @@ def _eval_layer(spec: CompositeSpec, j: int, eta: np.ndarray | None,
     return out
 
 
-def _check_finite(values: np.ndarray, j: int) -> None:
-    if np.all(np.isfinite(values)):
-        return
-    bad = int(np.argwhere(~np.isfinite(values))[0][0])
-    raise EvaluationError("non-finite layer output", layer=j, sample_index=bad)
+def _check_points(spec: CompositeSpec, x: np.ndarray) -> None:
+    """Reject a point set whose rows are not of the spec's dimension m."""
+    if x.shape[1] != spec.m:
+        raise ConfigError(
+            f"sample dimension {x.shape[1]} does not match spec dimension {spec.m}")
+
+
+def _layer_mean(values: np.ndarray, j: int,
+                weights: np.ndarray | None = None) -> np.ndarray:
+    """Mean of layer j's (n, d) values over the rows, or ``weights @ values``.
+
+    Only the mean is checked: an inf or NaN row makes the sum non-finite,
+    so a non-finite mean is traced to the first non-finite row, or, when
+    every row is finite, to an overflow of the sum.
+    """
+    mean = values.mean(axis=0) if weights is None else weights @ values
+    if np.isfinite(mean).all():
+        return mean
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise EvaluationError("non-finite layer output", layer=j,
+                              sample_index=int(bad[0]))
+    raise EvaluationError("layer mean overflows", layer=j)
+
+
+def _chain(spec: CompositeSpec, x: np.ndarray, weights: np.ndarray | None = None,
+           smooth: Callable | None = None) -> EtaChain:
+    """Nested layer means over the point set x (rows), innermost first.
+
+    A mean is the row average, or the quadrature sum with ``weights``.
+    ``smooth(spec, j, eta)``, when given, returns layer j's mean itself (a
+    kernel-smoothed mean) or None to leave the layer to the row mean.
+    """
+    _check_points(spec, x)
+    etas: list[np.ndarray] = []
+    eta = None
+    for j in range(spec.k + 1, 0, -1):
+        mean = None if smooth is None else smooth(spec, j, eta)
+        eta = _layer_mean(_eval_layer(spec, j, eta, x), j, weights) \
+            if mean is None else mean
+        etas.append(eta)
+    return EtaChain(tuple(etas))
 
 
 def validate_spec(spec: CompositeSpec) -> ValidationResult:
@@ -262,14 +302,7 @@ def validate_spec(spec: CompositeSpec) -> ValidationResult:
 def eval_exact_chain(spec: CompositeSpec, oracle: QuadratureRule) -> EtaChain:
     """Exact nested means against the law the oracle's quadrature rule
     integrates, innermost first."""
-    etas: list[np.ndarray] = []
-    eta = None
-    for j in range(spec.k + 1, 0, -1):
-        eta = oracle.integrate(lambda x, j=j, eta=eta: _eval_layer(spec, j, eta, x))
-        if not np.all(np.isfinite(eta)):
-            raise EvaluationError("quadrature produced non-finite mean", layer=j)
-        etas.append(eta)
-    return EtaChain(tuple(etas))
+    return _chain(spec, oracle.nodes, oracle.weights)
 
 
 def layer_jacobian(spec: CompositeSpec, j: int, eta: np.ndarray,
@@ -298,35 +331,6 @@ def layer_jacobian(spec: CompositeSpec, j: int, eta: np.ndarray,
         em = eta.copy(); em[c] -= h
         jac[:, :, c] = (_eval_layer(spec, j, ep, x) - _eval_layer(spec, j, em, x)) / (2 * h)
     return jac
-
-
-def propagate_direction(spec: CompositeSpec, chain: EtaChain,
-                        oracle: QuadratureRule, direction: Direction,
-                        *, fd_fallback: bool = False) -> np.ndarray:
-    """Propagate a perturbation direction through the composition.
-
-    Computes xi_1(d) by the backward recursion xi_{k+1} = d_{k+1},
-    xi_j = E[J_j(eta_{j+1}, X) xi_{j+1}] + d_j(eta_{j+1}); in the
-    differentiable case this is the chain-matrix linearization of the
-    composite at the exact chain point.
-    """
-    if len(direction.d) != spec.k + 1:
-        raise ConfigError(f"direction must have {spec.k + 1} entries")
-
-    xi = np.asarray(direction.d[-1], dtype=float).reshape(-1)
-    if xi.shape[0] != spec.signature.dims[-1]:
-        raise ConfigError("d_{k+1} has wrong dimension")
-    for j in range(spec.k, 0, -1):
-        eta_in = chain.input_for(j)
-        mean_jac_xi = oracle.integrate(
-            lambda x, j=j, eta_in=eta_in, xi=xi:
-            layer_jacobian(spec, j, eta_in, x, fd_fallback=fd_fallback) @ xi)
-        dj = direction.d[j - 1]
-        dj_val = np.asarray(dj(eta_in) if callable(dj) else dj, dtype=float).reshape(-1)
-        if dj_val.shape[0] != spec.signature.dims[j - 1]:
-            raise ConfigError(f"direction entry {j} has wrong dimension")
-        xi = mean_jac_xi + dj_val
-    return xi
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from math import comb, gamma as gamma_fn
 
 import numpy as np
 
-from .core import (CompositeSpec, EtaChain, PowerMaxForm, QuadratureRule, _check_finite,
-                   _eval_layer, validate_spec)
+from .core import (CompositeSpec, EtaChain, PowerMaxForm, QuadratureRule, _chain,
+                   _eval_layer, _layer_mean, validate_spec)
 from .errors import ConfigError, EvaluationError
 
 _KERNEL_FAMILIES = ("uniform", "gaussian", "epanechnikov")
@@ -93,17 +93,6 @@ class KernelSpec:
             return _abs_moment_1d(self.family, q)
         rule = self.convolution_rule(nodes_per_dim)
         return float(rule.weights @ np.linalg.norm(rule.nodes, axis=1) ** q)
-
-    def density(self, y: np.ndarray) -> np.ndarray:
-        """Product kernel density at rows of y (shape (n, dimension))."""
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        if self.family == "uniform":
-            per = np.where(np.abs(y) <= 1.0, 0.5, 0.0)
-        elif self.family == "epanechnikov":
-            per = np.where(np.abs(y) <= 1.0, 0.75 * (1.0 - y * y), 0.0)
-        else:
-            per = np.exp(-0.5 * y * y) / np.sqrt(2 * np.pi)
-        return np.prod(per, axis=1)
 
     def convolution_rule(self, nodes_per_dim: int) -> QuadratureRule:
         """Tensor nodes/weights for integrating against the kernel density."""
@@ -205,25 +194,10 @@ class EstimateReport:
     n: int
 
 
-def _require_valid(spec: CompositeSpec, sample: Sample) -> None:
-    if sample.m != spec.m:
-        raise ConfigError(
-            f"sample dimension {sample.m} does not match spec dimension {spec.m}")
+def _require_valid(spec: CompositeSpec) -> None:
     result = validate_spec(spec)
     if not result.ok:
         raise ConfigError("invalid spec: " + "; ".join(m.message for m in result.mismatches))
-
-
-def _empirical_chain(spec: CompositeSpec, x: np.ndarray) -> EtaChain:
-    """Per-layer sample means, innermost first, without validation."""
-    etas: list[np.ndarray] = []
-    eta = None
-    for j in range(spec.k + 1, 0, -1):
-        vals = _eval_layer(spec, j, eta, x)
-        _check_finite(vals, j)
-        eta = vals.mean(axis=0)
-        etas.append(eta)
-    return EtaChain(tuple(etas))
 
 
 def estimate_empirical(spec: CompositeSpec, sample: Sample) -> EstimateReport:
@@ -233,8 +207,8 @@ def estimate_empirical(spec: CompositeSpec, sample: Sample) -> EstimateReport:
     do not depend on the outer summation index, this equals the fully nested
     empirical sums evaluated directly.
     """
-    _require_valid(spec, sample)
-    chain = _empirical_chain(spec, sample.data)
+    _require_valid(spec)
+    chain = _chain(spec, sample.data)
     return EstimateReport(chain.value, chain, None, sample.n)
 
 
@@ -370,9 +344,7 @@ def _smoothed_layer_mean(spec: CompositeSpec, j: int, eta: np.ndarray | None,
     n, q = x.shape[0], offsets.shape[0]
     shifted = (x[:, None, :] + offsets[None, :, :]).reshape(n * q, sample.m)
     vals = _eval_layer(spec, j, eta, shifted).reshape(n, q, -1)
-    _check_finite(vals.reshape(n, -1), j)
-    per_sample = np.einsum("q,nqd->nd", rule.weights, vals)
-    return per_sample.mean(axis=0)
+    return _layer_mean(np.einsum("q,nqd->nd", rule.weights, vals), j)
 
 
 def _check_plan(spec: CompositeSpec, sample: Sample, plan: SmoothingPlan) -> None:
@@ -386,34 +358,24 @@ def _check_plan(spec: CompositeSpec, sample: Sample, plan: SmoothingPlan) -> Non
         raise ConfigError("smoothing set J references a layer beyond k+1")
 
 
-def _mixed_chain(spec: CompositeSpec, sample: Sample, plan: SmoothingPlan,
-                 h: float) -> EtaChain:
-    """Mixed per-layer means at a fixed bandwidth, without validation."""
-    x = sample.data
-    etas: list[np.ndarray] = []
-    eta = None
-    for j in range(spec.k + 1, 0, -1):
-        if j in plan.J:
-            eta = _smoothed_layer_mean(spec, j, eta, sample, plan, h)
-        else:
-            vals = _eval_layer(spec, j, eta, x)
-            _check_finite(vals, j)
-            eta = vals.mean(axis=0)
-        etas.append(eta)
-    return EtaChain(tuple(etas))
+def _smoother(sample: Sample, plan: SmoothingPlan):
+    """The ``smooth`` argument of ``core._chain`` for a plan: the smoothed
+    mean at the layers in J, at the sample's bandwidth."""
+    h = bandwidth(plan.schedule, sample.n, sample.std_scale())
+    return lambda spec, j, eta: (_smoothed_layer_mean(spec, j, eta, sample, plan, h)
+                                 if j in plan.J else None)
 
 
 def estimate_mixed(spec: CompositeSpec, sample: Sample,
                    plan: SmoothingPlan) -> EstimateReport:
     """Mixed plug-in estimate: smoothed means at layers in plan.J, empirical
     means elsewhere. With empty J the result is exactly estimate_empirical."""
-    if not plan.J:
-        report = estimate_empirical(spec, sample)
-        return EstimateReport(report.value, report.chain, plan, report.n)
-    _require_valid(spec, sample)
-    _check_plan(spec, sample, plan)
-    h = bandwidth(plan.schedule, sample.n, sample.std_scale())
-    chain = _mixed_chain(spec, sample, plan, h)
+    _require_valid(spec)
+    smooth = None
+    if plan.J:
+        _check_plan(spec, sample, plan)
+        smooth = _smoother(sample, plan)
+    chain = _chain(spec, sample.data, smooth=smooth)
     return EstimateReport(chain.value, chain, plan, sample.n)
 
 

@@ -18,12 +18,11 @@ from typing import Callable
 import numpy as np
 
 from .asymptotics import asymptotic_report, chain_matrices, exact_limit_variance
-from .core import (CompositeSpec, EtaChain, QuadratureRule, _eval_layer,
-                   eval_exact_chain, validate_spec)
+from .core import CompositeSpec, EtaChain, QuadratureRule, _chain, _eval_layer
 from .errors import ConfigError, EvaluationError
-from .estimators import (Sample, SmoothingPlan, _check_plan, _empirical_chain,
-                         _mixed_chain, _powermax_uniform_mean,
-                         _smoothed_layer_mean, bandwidth, estimate_empirical)
+from .estimators import (Sample, SmoothingPlan, _check_plan, _powermax_uniform_mean,
+                         _require_valid, _smoothed_layer_mean, _smoother, bandwidth,
+                         estimate_empirical)
 from .measures import stack_specs
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -61,33 +60,22 @@ class ScalarProblem:
             raise ConfigError("mixed-plan problems need a sample and a plan")
 
     def objective(self) -> Callable[[float], float]:
-        """Scalar objective u -> estimated/exact composite value. The spec
-        at the bracket midpoint is validated, and a mixed plan checked
+        """Scalar objective u -> estimated/exact composite value: the nested
+        means of family(u) over the oracle's nodes or the sample's rows. The
+        spec at the bracket midpoint is validated, and a mixed plan checked
         against it, once per call rather than once per u."""
         probe = self.family(0.5 * sum(self.bracket))
-        result = validate_spec(probe)
-        if not result.ok:
-            raise ConfigError(
-                "invalid family spec: " + "; ".join(m.message for m in result.mismatches))
+        _require_valid(probe)
+        weights = smooth = None
         if self.objective_source == "exact-oracle":
-            oracle = self.oracle
-
-            def fn(u: float) -> float:
-                return float(eval_exact_chain(self.family(u), oracle).value[0])
-            return fn
-        if self.objective_source == "empirical-sample":
-            data = self.sample.data
-
-            def fn(u: float) -> float:
-                return float(_empirical_chain(self.family(u), data).value[0])
-            return fn
-        sample, plan = self.sample, self.plan
-        _check_plan(probe, sample, plan)
-        h = bandwidth(plan.schedule, sample.n, sample.std_scale())
-
-        def fn(u: float) -> float:
-            return float(_mixed_chain(self.family(u), sample, plan, h).value[0])
-        return fn
+            x, weights = self.oracle.nodes, self.oracle.weights
+        else:
+            x = self.sample.data
+            if self.objective_source == "mixed-plan":
+                _check_plan(probe, self.sample, self.plan)
+                smooth = _smoother(self.sample, self.plan)
+        family = self.family
+        return lambda u: float(_chain(family(u), x, weights, smooth).value[0])
 
 
 def default_bracket(sample: Sample, c: float) -> tuple[float, float]:

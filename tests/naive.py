@@ -3,9 +3,10 @@
 These deliberately re-implement the estimators the slow, literal way:
 ``nested_empirical`` evaluates the fully nested empirical sums by explicit
 recursion over sample indices (inner means recomputed inside every outer
-loop iteration), and ``stacked_covariance`` builds per-observation outer
-products one row at a time. They share no code with the library paths they
-check.
+loop iteration), ``stacked_covariance`` builds per-observation outer
+products one row at a time, and ``smoothed_row_mean`` convolves a layer
+with a kernel rule one shifted row at a time. They share no code with the
+library paths they check.
 """
 
 from __future__ import annotations
@@ -55,6 +56,17 @@ def stacked_covariance(spec, x: np.ndarray, chain) -> np.ndarray:
     mean = np.mean(stacked, axis=0)
     outers = [np.outer(r - mean, r - mean) for r in rows]
     return np.mean(np.stack(outers, axis=0), axis=0)
+
+
+def smoothed_row_mean(fn, x: np.ndarray, offsets, weights) -> np.ndarray:
+    """Kernel-smoothed mean (1/n) sum_i sum_q weights[q] fn(x_i + offsets[q]),
+    with fn evaluated on one shifted row at a time."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    total = 0.0
+    for xi in x:
+        for off, w in zip(offsets, weights):
+            total = total + w * np.asarray(fn(xi + off), dtype=float).reshape(-1)
+    return total / x.shape[0]
 
 
 def mean_spec():

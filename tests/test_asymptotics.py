@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import nestedrisk as nr
 from nestedrisk.asymptotics import SigmaEstimate, exact_limit_variance
@@ -340,6 +341,49 @@ def test_exact_limit_variance_degenerate_tail_raises():
     with pytest.raises(nr.EvaluationError) as info:
         exact_limit_variance(spec, nr.normal_oracle(10.0, np.sqrt(3.0)))
     assert info.value.layer == 1
+
+
+def test_plugin_paths_reject_a_sample_of_another_dimension():
+    # the covariance and the expected Jacobians check the sample against
+    # the spec, as the chain does, instead of reading its first column
+    spec = _ho(20.0, 2.0, 15.0)
+    law = nr.parse_law(f"normal:10,{np.sqrt(3.0)}*normal:20,{np.sqrt(5.0)}")
+    s = nr.sample(nr.SamplerConfig(law, 7), 200)
+    est = nr.estimate_empirical(spec, nr.Sample(s.data[:, 0]))
+    with pytest.raises(nr.ConfigError, match="dimension 2"):
+        nr.plugin_sigma(spec, s, est.chain)
+    with pytest.raises(nr.ConfigError, match="dimension 2"):
+        nr.chain_matrices(spec, s, est.chain)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exact_limit_variance_overflow_raises_naming_the_layer():
+    # at p = 100 on N(0, 10) the layer-2 variance E[(eta - X)_+^200]
+    # overflows; the plug-in covariance of a sample fails the same way
+    spec = msd(0.5, 100.0)
+    with pytest.raises(nr.EvaluationError) as info:
+        exact_limit_variance(spec, nr.normal_oracle(0.0, 10.0))
+    assert info.value.layer == 2
+    s = nr.sample(nr.SamplerConfig(nr.Normal(0.0, 10.0), 1), 200)
+    with pytest.raises(nr.EvaluationError) as info:
+        nr.plugin_sigma(spec, s, nr.estimate_empirical(spec, s).chain)
+    assert info.value.layer == 2
+
+
+@given(kind=st.sampled_from(["msd", "ho"]), n=st.integers(50, 1123),
+       p=st.sampled_from([1.5, 2.0, 3.0]), seed=st.integers(0, 2**32 - 1))
+def test_equal_weight_rule_equals_the_sample(kind, n, p, seed):
+    # the sample is the law whose rule puts weight 1/n on each row, so the
+    # exact paths over that rule reproduce the plug-in ones
+    x = np.random.default_rng(seed).normal(10.0, np.sqrt(3.0), n)
+    s = nr.Sample(x)
+    spec = msd(0.5, p) if kind == "msd" else _ho(20.0, p, float(np.quantile(x, 0.9)))
+    oracle = nr.discrete_oracle(s.data, np.full(n, 1.0 / n))
+    est = nr.estimate_empirical(spec, s)
+    np.testing.assert_allclose(est.value, nr.eval_exact_chain(spec, oracle).value,
+                               rtol=1e-12)
+    np.testing.assert_allclose(nr.asymptotic_report(spec, s, est).limit_cov,
+                               exact_limit_variance(spec, oracle), rtol=1e-12)
 
 
 # --- Monte Carlo validation ------------------------------------------------------------

@@ -234,6 +234,17 @@ def test_overflowing_covariance_exit_code(msd_json, capsys):
     assert "numerical failure" in err and "layer=2" in err
 
 
+def test_overflowing_exact_variance_exit_code(capsys):
+    # the reference variance E[(eta - X)_+^200] overflows: no summary with
+    # an infinite variance is printed
+    code = run_cli(["simulate", "--measure", '{"kind": "mean_semideviation", "p": 100}',
+                    "--law", "normal:0,10", "--replications", "4"])
+    assert code == 3
+    out = capsys.readouterr()
+    assert "numerical failure" in out.err and "layer=2" in out.err
+    assert out.out == ""
+
+
 def test_numerical_error_exit_code(msd_json, capsys):
     # constant sample makes the silverman bandwidth degenerate
     code = run_cli(["estimate", "--measure", msd_json,
@@ -282,11 +293,16 @@ _NO_ALLOCATION = '{"kind": "portfolio_semideviation", "m": 2}'
     ["simulate", "--measure", "msd", "--law", _LAW, "--bins", "0"],
     ["estimate", "--measure", _NO_ALLOCATION, "--law", _LAWS],
     ["simulate", "--measure", "sys", "--law", _LAWS],
+    ["simulate", "--measure", "ho", "--law", _LAWS],
+    ["optimize", "--measure", "ho", "--law", _LAWS],
+    ["estimate", "--measure", "ho", "--law", _LAWS],
 ], ids=["power-bandwidth-arity", "unknown-bandwidth", "smooth-layers-text",
         "compare-product-law", "systemic-scalar-measure", "systemic-law-dimension",
         "optimize-scalar-chain", "estimate-weights-length",
         "systemic-weights-length", "smooth-layers-beyond-k+1", "zero-bins",
-        "portfolio-without-allocation", "simulate-systemic-measure"])
+        "portfolio-without-allocation", "simulate-systemic-measure",
+        "simulate-higher-order-product-law", "optimize-higher-order-product-law",
+        "estimate-higher-order-product-law"])
 def test_config_error_paths_exit_2(argv, msd_json, ho_json, sys_json, capsys):
     paths = {"msd": msd_json, "ho": ho_json, "sys": sys_json}
     argv = [paths.get(a, a) for a in argv]

@@ -66,6 +66,23 @@ def test_exact_chain_reports_nonfinite_layer():
     assert err.value.layer == 1
 
 
+def test_exact_chain_rejects_an_oracle_of_another_dimension():
+    # a two-dimensional product rule under a one-dimensional spec is
+    # rejected, not read through its first column
+    fam = nr.make_higher_order_family(nr.MeasureParams(c=20.0, p=2.0))
+    oracle = nr.product_oracle([nr.normal_oracle(10.0, np.sqrt(3.0), nodes=100),
+                                nr.normal_oracle(20.0, np.sqrt(5.0), nodes=100)])
+    with pytest.raises(nr.ConfigError, match="dimension 2"):
+        nr.eval_exact_chain(fam(15.0), oracle)
+    with pytest.raises(nr.ConfigError, match="dimension 2"):
+        nr.exact_limit_variance(fam(15.0), oracle)
+    one = nr.normal_oracle(10.0, np.sqrt(3.0), nodes=100)
+    chain = nr.eval_exact_chain(fam(15.0), one)
+    with pytest.raises(nr.ConfigError, match="dimension 2"):
+        nr.propagate_direction(fam(15.0), chain, oracle,
+                               nr.Direction((np.zeros(1), np.ones(1))))
+
+
 def test_k0_chain_is_plain_mean():
     oracle = nr.discrete_oracle([[1.0], [2.0], [6.0]], [0.25, 0.25, 0.5])
     chain = nr.eval_exact_chain(mean_spec(), oracle)
@@ -156,6 +173,19 @@ def test_propagate_inner_unit_direction_matches_finite_difference():
     s = nr.sample(nr.SamplerConfig(nr.Normal(10.0, np.sqrt(3.0)), 3), 4000)
     chains = nr.chain_matrices(spec, s, chain)
     assert xi[0] == pytest.approx(chains.C_r_T[1][0, 0], rel=0.05)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_propagate_singular_gradient_raises_naming_the_layer():
+    # u = 200 lies far beyond N(10, 3): E[(X - u)_+^2] = 0 and the gradient
+    # of u + c * eta^(1/2) is singular, as exact_limit_variance reports
+    spec = nr.make_higher_order_family(nr.MeasureParams(c=20.0, p=2.0))(200.0)
+    oracle = nr.normal_oracle(10.0, np.sqrt(3.0))
+    chain = nr.eval_exact_chain(spec, oracle)
+    with pytest.raises(nr.EvaluationError) as err:
+        nr.propagate_direction(spec, chain, oracle,
+                               nr.Direction((np.zeros(1), np.ones(1))))
+    assert err.value.layer == 1
 
 
 def test_propagate_requires_jacobians_when_fd_disabled():

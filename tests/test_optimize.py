@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 import nestedrisk as nr
 
+from naive import smoothed_row_mean
+
 
 SQ3 = np.sqrt(3.0)
 
@@ -109,6 +111,20 @@ def test_mixed_problem_rejects_plans_that_estimate_mixed_rejects(J, kernel, dim)
         nr.minimize_scalar(prob, flat_check_grid=0)
 
 
+def test_problems_reject_points_of_another_dimension():
+    # a one-dimensional family over a two-dimensional oracle or sample is
+    # rejected, not solved on the first column
+    fam = ho_family()
+    law = nr.parse_law(f"normal:10,{SQ3}*normal:20,{np.sqrt(5.0)}")
+    s = nr.sample(nr.SamplerConfig(law, 7), 200)
+    problems = [nr.ScalarProblem(fam, (0.0, 40.0), "exact-oracle",
+                                 oracle=law.oracle(200)),
+                nr.ScalarProblem(fam, (0.0, 40.0), "empirical-sample", sample=s)]
+    for prob in problems:
+        with pytest.raises(nr.ConfigError, match="dimension 2"):
+            nr.minimize_scalar(prob)
+
+
 # --- optimal_value_clt_variance ------------------------------------------------------
 
 def test_variance_zero_for_point_mass_sample():
@@ -148,6 +164,32 @@ def test_smoothed_variance_pinned_values(family, u, expected):
                             "mixed-plan", sample=s, plan=plan)
     v = nr.optimal_value_clt_variance(prob, s, u)
     assert v == pytest.approx(expected, rel=1e-12)
+
+
+def test_gaussian_mixed_plan_variance_on_shifted_rows_matches_bruteforce():
+    # at p = 2.25 neither the inner layer nor its square (power 4.5) is an
+    # integer power, so the gaussian kernel convolves both moments on
+    # shifted rows
+    c, p, u = 4.0, 2.25, 11.0
+    s = nr.Sample(np.random.default_rng(5).normal(10.0, SQ3, 40))
+    plan = nr.SmoothingPlan(frozenset({2}), nr.KernelSpec("gaussian", 1, 2.0),
+                            nr.BandwidthSchedule("silverman"))
+    prob = nr.ScalarProblem(ho_family(c, p), nr.default_bracket(s, c),
+                            "mixed-plan", sample=s, plan=plan)
+    got = nr.optimal_value_clt_variance(prob, s, u)
+
+    h = nr.bandwidth(plan.schedule, s.n, s.std_scale())
+    z, w = np.polynomial.hermite_e.hermegauss(64)
+    offsets, weights = h * z[:, None], w / np.sqrt(2.0 * np.pi)
+
+    def tail(row):
+        return max(0.0, row[0] - u) ** p
+
+    mean = smoothed_row_mean(tail, s.data, offsets, weights)[0]
+    second = smoothed_row_mean(lambda row: tail(row) ** 2, s.data, offsets,
+                               weights)[0]
+    grad = (c / p) * mean ** (1.0 / p - 1.0)
+    assert got == pytest.approx(grad ** 2 * (second - mean ** 2), rel=1e-10)
 
 
 def test_mixed_plan_variance_follows_the_smoothing_set():
