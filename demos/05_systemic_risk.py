@@ -26,13 +26,13 @@ repX, repY = nr.minimize_scalar(pX), nr.minimize_scalar(pY)
 rho = np.array([repX.theta, repY.theta])
 
 outer = nr.OuterAggregation("mean_semideviation", kappa=0.5, p=2.0)
-spec = nr.SystemicSpec((fam(repX.u_hat), fam(repY.u_hat)), (0.5, 0.5), outer)
+spec = nr.SystemicSpec((0.5, 0.5), outer)
 exact = nr.systemic_value(rho, spec)
 print(f"component risks: {rho[0]:.4f}, {rho[1]:.4f}")
 print(f"systemic value: {exact:.4f}")
 
 # linear aggregation for contrast
-lin = nr.SystemicSpec(spec.components, spec.weights, nr.OuterAggregation("linear"))
+lin = nr.SystemicSpec(spec.weights, nr.OuterAggregation("linear"))
 print(f"linear aggregation would give: {nr.systemic_value(rho, lin):.4f}")
 
 # --- the sampled limit distribution ---------------------------------------------
@@ -40,8 +40,7 @@ print(f"linear aggregation would give: {nr.systemic_value(rho, lin):.4f}")
 vX = nr.optimal_value_clt_variance(pX, None, repX.u_hat)
 vY = nr.optimal_value_clt_variance(pY, None, repY.u_hat)
 limit_cov = np.diag([vX, vY])  # independent components
-report = nr.AsymptoticReport.from_limit_cov(limit_cov, 200, value=rho)
-lim = nr.systemic_limit(spec, report, samples=100_000, seed=1)
+lim = nr.systemic_limit(spec, limit_cov, rho, samples=100_000, seed=1)
 print(f"\nsampled limit of sqrt(n)(estimate - exact): variance {lim.variance:.1f}")
 print("  quantiles:", {k: round(v, 2) for k, v in lim.quantiles.items()})
 

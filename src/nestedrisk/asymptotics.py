@@ -32,17 +32,17 @@ PSD_TOL = 1e-9
 class SigmaEstimate:
     """Plug-in covariance of the stacked per-layer evaluations.
 
-    ``blocks[a][b]`` holds the (dims[a] x dims[b]) block for layers a+1 and
-    b+1; ``full`` is the assembled symmetric PSD matrix of size M x M.
+    ``full`` is the symmetric PSD matrix of size M x M; the coordinates of
+    layer j are ``offsets[j-1]:offsets[j]``.
     """
 
-    blocks: tuple
     full: np.ndarray
     offsets: tuple[int, ...]
 
     def block(self, a: int, b: int) -> np.ndarray:
         """Block for layer pair (a, b), 1-based."""
-        return self.blocks[a - 1][b - 1]
+        o = self.offsets
+        return self.full[o[a - 1]:o[a], o[b - 1]:o[b]]
 
 
 @dataclass(frozen=True)
@@ -61,21 +61,10 @@ class ChainMatrices:
 
 @dataclass(frozen=True)
 class AsymptoticReport:
-    """Limit covariance with its ingredients and optional intervals."""
+    """Limit covariance and, when a level was given, the intervals."""
 
-    sigma: SigmaEstimate | None
-    chains: ChainMatrices | None
     limit_cov: np.ndarray
-    n: int
     intervals: tuple | None = None
-    value: np.ndarray | None = None
-
-    @classmethod
-    def from_limit_cov(cls, limit_cov: np.ndarray, n: int,
-                       value: np.ndarray | None = None) -> "AsymptoticReport":
-        """Wrap an externally computed limit covariance (no chain details)."""
-        return cls(None, None, np.asarray(limit_cov, dtype=float), int(n),
-                   None, None if value is None else np.asarray(value, dtype=float))
 
 
 def _layer_values(spec: CompositeSpec, x: np.ndarray, chain: EtaChain) -> np.ndarray:
@@ -141,14 +130,9 @@ def plugin_sigma(spec: CompositeSpec, sample: Sample, chain: EtaChain) -> SigmaE
     """
     if sample.n < 2:
         raise ConfigError("covariance needs at least two observations")
-    dims = spec.signature.dims
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    full = _sigma(spec, sample.data, chain)
-    blocks = tuple(
-        tuple(full[offsets[a]:offsets[a + 1], offsets[b]:offsets[b + 1]]
-              for b in range(len(dims)))
-        for a in range(len(dims)))
-    return SigmaEstimate(blocks, full, tuple(int(o) for o in offsets))
+    offsets = np.concatenate([[0], np.cumsum(spec.signature.dims)])
+    return SigmaEstimate(_sigma(spec, sample.data, chain),
+                         tuple(int(o) for o in offsets))
 
 
 def _chain_products(spec: CompositeSpec, chain: EtaChain, x: np.ndarray,
@@ -192,27 +176,21 @@ def chain_matrices(spec: CompositeSpec, sample: Sample, chain: EtaChain,
     return _chain_products(spec, chain, sample.data, fd_fallback=fd_fallback)
 
 
-def limit_variance(sigma: SigmaEstimate, chains: ChainMatrices,
-                   contrast: np.ndarray | None = None):
-    """Limit covariance C^T Sigma_g C; with a contrast w, the scalar
-    w^T (C^T Sigma_g C) w."""
+def limit_variance(sigma: SigmaEstimate, chains: ChainMatrices) -> np.ndarray:
+    """Limit covariance C^T Sigma_g C. A contrast w has the limit variance
+    ``w @ cov @ w``."""
     ct = chains.stacked
     if ct.shape[1] != sigma.full.shape[0]:
         raise ConfigError(
             f"chain matrix width {ct.shape[1]} does not match Sigma size "
             f"{sigma.full.shape[0]}")
     cov = ct @ sigma.full @ ct.T
-    cov = 0.5 * (cov + cov.T)
-    if contrast is None:
-        return cov
-    w = np.asarray(contrast, dtype=float).reshape(-1)
-    if w.shape[0] != cov.shape[0]:
-        raise ConfigError("contrast dimension does not match limit covariance")
-    return float(w @ cov @ w)
+    return 0.5 * (cov + cov.T)
 
 
-def _intervals(value, limit_cov, n: int, level: float):
-    """Per-coordinate normal intervals value_i -+ z sqrt(limit_cov_ii / n)."""
+def confidence_interval(value, limit_cov, n: int, level: float):
+    """Per-coordinate normal confidence intervals at the given level:
+    value_i -+ z_{1-alpha/2} sqrt(limit_cov_ii / n)."""
     if not 0.0 < level < 1.0:
         raise ConfigError("confidence level must lie in (0, 1)")
     z = float(ndtri(0.5 + level / 2.0))
@@ -222,15 +200,6 @@ def _intervals(value, limit_cov, n: int, level: float):
         raise ConfigError("limit covariance does not match estimate dimension")
     half = z * np.sqrt(np.maximum(variances, 0.0) / n)
     return tuple((float(v - hw), float(v + hw)) for v, hw in zip(value, half))
-
-
-def confidence_interval(estimate: EstimateReport, report: AsymptoticReport,
-                        level: float):
-    """Per-coordinate normal confidence intervals at the given level.
-
-    Half-width is z_{1-alpha/2} * sqrt(limit_cov_ii / n).
-    """
-    return _intervals(estimate.value, report.limit_cov, report.n, level)
 
 
 def exact_limit_variance(spec: CompositeSpec,
@@ -281,11 +250,10 @@ def propagate_direction(spec: CompositeSpec, chain: EtaChain,
 def asymptotic_report(spec: CompositeSpec, sample: Sample,
                       estimate: EstimateReport, *,
                       level: float | None = None) -> AsymptoticReport:
-    """Assemble sigma, chain matrices, limit covariance, and intervals for a
-    plug-in estimate (evaluated at the estimate's own chain)."""
+    """Limit covariance and intervals of a plug-in estimate, from Sigma and
+    the chain matrices at the estimate's own chain."""
     sigma = plugin_sigma(spec, sample, estimate.chain)
-    chains = chain_matrices(spec, sample, estimate.chain)
-    cov = limit_variance(sigma, chains)
+    cov = limit_variance(sigma, chain_matrices(spec, sample, estimate.chain))
     intervals = None if level is None \
-        else _intervals(estimate.value, cov, sample.n, level)
-    return AsymptoticReport(sigma, chains, cov, sample.n, intervals, estimate.value)
+        else confidence_interval(estimate.value, cov, sample.n, level)
+    return AsymptoticReport(cov, intervals)

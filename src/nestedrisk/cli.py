@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from .asymptotics import (AsymptoticReport, asymptotic_report,
-                          confidence_interval, exact_limit_variance)
+from .asymptotics import (asymptotic_report, confidence_interval,
+                          exact_limit_variance)
 from .core import eval_exact_chain
 from .errors import ConfigError, EvaluationError
 from .estimators import (BandwidthSchedule, KernelSpec, Sample, SmoothingPlan,
@@ -168,8 +168,8 @@ def _estimator(mcfg: MeasureConfig, plan):
 
 
 def _exact(mcfg: MeasureConfig, law):
-    """(value, limit variance, spec at the exact decision) of a scalar
-    measure under the law's quadrature oracle."""
+    """(value, limit variance) of a scalar measure under the law's
+    quadrature oracle."""
     built = _scalar_build(mcfg)
     oracle = law.oracle()
     if mcfg.kind == "higher_order":
@@ -181,10 +181,9 @@ def _exact(mcfg: MeasureConfig, law):
         prob = ScalarProblem(built, (float(mean - 6 * sd), float(mean + 12 * sd)),
                              "exact-oracle", oracle=oracle)
         rep = minimize_scalar(prob)
-        v = optimal_value_clt_variance(prob, None, rep.u_hat)
-        return rep.theta, v, built(rep.u_hat)
+        return rep.theta, optimal_value_clt_variance(prob, None, rep.u_hat)
     value = float(eval_exact_chain(built, oracle).value[0])
-    return value, float(exact_limit_variance(built, oracle)[0, 0]), built
+    return value, float(exact_limit_variance(built, oracle)[0, 0])
 
 
 def _per_column(estimators):
@@ -193,6 +192,8 @@ def _per_column(estimators):
 
 
 def _systemic_pieces(mcfg: MeasureConfig, law):
+    """(component configs, component laws, the aggregation) of a systemic
+    measure on a law with one coordinate per component."""
     if mcfg.kind != "systemic":
         raise ConfigError("the systemic command needs a systemic measure")
     ell = len(mcfg.components)
@@ -200,7 +201,7 @@ def _systemic_pieces(mcfg: MeasureConfig, law):
         raise ConfigError(
             f"systemic law must have one coordinate per component ({ell})")
     return (mcfg.components, law.laws,
-            np.asarray(mcfg.params.weights, dtype=float), mcfg.outer)
+            SystemicSpec(mcfg.params.weights, mcfg.outer))
 
 
 def cmd_estimate(args) -> int:
@@ -216,18 +217,16 @@ def cmd_estimate(args) -> int:
         prob = _problem(mcfg.build(), mcfg.params.c, s, plan)
         rep = minimize_scalar(prob)
         v = optimal_value_clt_variance(prob, s, rep.u_hat)
-        # the report carries the value its interval is centred on
-        arep = AsymptoticReport.from_limit_cov([[v]], s.n, value=[rep.theta])
-        (lo, hi), = confidence_interval(arep, arep, args.level)
+        (lo, hi), = confidence_interval(rep.theta, v, s.n, args.level)
         doc = {"value": rep.theta, "u_hat": rep.u_hat,
                "limit_variance": v, "level": args.level,
                "interval": [lo, hi],
                "boundary": rep.boundary,
                "config": config}
     elif systemic:
-        comps, _, weights, outer = _systemic_pieces(mcfg, law)
+        comps, _, spec = _systemic_pieces(mcfg, law)
         values = _per_column([_estimator(c, plan) for c in comps])(s)
-        doc = {"value": outer.aggregate(weights, np.asarray(values)),
+        doc = {"value": systemic_value(values, spec),
                "components": values,
                "config": config}
     else:
@@ -267,7 +266,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("the optimize command needs a higher_order measure")
     law = parse_law(args.law)
     plan = _plan_from_args(args, law_dimension(law))
-    exact, v, _ = _exact(mcfg, law)
+    exact, v = _exact(mcfg, law)
     reference = Reference(exact, v / args.n)
     cfg = SamplerConfig(law, args.seed)
     table = run_replications(_estimator(mcfg, plan), cfg, args.n,
@@ -285,8 +284,8 @@ def cmd_compare(args) -> int:
     if law_dimension(l1) != 1 or law_dimension(l2) != 1:
         raise ConfigError("compare expects scalar laws")
     plan = _plan_from_args(args, 1)
-    exact1, v1, _ = _exact(m1, l1)
-    exact2, v2, _ = _exact(m2, l2)
+    exact1, v1 = _exact(m1, l1)
+    exact2, v2 = _exact(m2, l2)
     columns = _per_column([_estimator(m1, plan), _estimator(m2, plan)])
 
     def diff(s: Sample) -> float:
@@ -307,20 +306,17 @@ def cmd_compare(args) -> int:
 def cmd_systemic(args) -> int:
     mcfg = parse_measure(args.measure)
     law = parse_law(args.law)
-    comps, laws, weights, outer = _systemic_pieces(mcfg, law)
+    comps, laws, spec = _systemic_pieces(mcfg, law)
     plan = _plan_from_args(args, 1)
 
-    values, variances, specs = zip(*(_exact(c, l) for c, l in zip(comps, laws)))
+    values, variances = zip(*(_exact(c, l) for c, l in zip(comps, laws)))
     exact_components = np.array(values)
-    spec = SystemicSpec(specs, tuple(float(w) for w in weights), outer)
     exact_sys = systemic_value(exact_components, spec)
 
     # delta-method reference variance through the aggregation's directional
     # derivative at the exact component vector (independent components)
-    limit_cov = np.diag(variances)
-    report = AsymptoticReport.from_limit_cov(limit_cov, args.n,
-                                             value=exact_components)
-    lim = systemic_limit(spec, report, args.limit_samples, args.seed + 1)
+    lim = systemic_limit(spec, np.diag(variances), exact_components,
+                         args.limit_samples, args.seed + 1)
 
     columns = _per_column([_estimator(c, plan) for c in comps])
 

@@ -145,12 +145,6 @@ class QuadratureRule:
             raise ConfigError(
                 "quadrature weights must be finite, nonnegative and sum to 1")
 
-    def integrate(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        vals = np.asarray(fn(self.nodes), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        return self.weights @ vals
-
     @classmethod
     def product(cls, rules: Sequence[QuadratureRule]) -> QuadratureRule:
         """Tensor-product rule of one-dimensional rules, first coordinate
@@ -227,9 +221,13 @@ def _layer_mean(values: np.ndarray, j: int,
 
     Only the mean is checked: an inf or NaN row makes the sum non-finite,
     so a non-finite mean is traced to the first non-finite row, or, when
-    every row is finite, to an overflow of the sum.
+    every row is finite, to an overflow of the sum. Numpy's warning about
+    such a sum, raised as an error under ``-W error``, is traced the same way.
     """
-    mean = values.mean(axis=0) if weights is None else weights @ values
+    try:
+        mean = values.mean(axis=0) if weights is None else weights @ values
+    except RuntimeWarning:
+        mean = np.nan
     if np.isfinite(mean).all():
         return mean
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))

@@ -186,12 +186,10 @@ class Sample:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Plug-in estimate: value (eta_1 hat), the full chain, plan, and n."""
+    """Plug-in estimate: value (eta_1 hat) and the full chain."""
 
     value: np.ndarray
     chain: EtaChain
-    plan: SmoothingPlan | None
-    n: int
 
 
 def _require_valid(spec: CompositeSpec) -> None:
@@ -209,7 +207,7 @@ def estimate_empirical(spec: CompositeSpec, sample: Sample) -> EstimateReport:
     """
     _require_valid(spec)
     chain = _chain(spec, sample.data)
-    return EstimateReport(chain.value, chain, None, sample.n)
+    return EstimateReport(chain.value, chain)
 
 
 # Largest power the sorted branch expands binomially; the smoothed second
@@ -376,7 +374,7 @@ def estimate_mixed(spec: CompositeSpec, sample: Sample,
         _check_plan(spec, sample, plan)
         smooth = _smoother(sample, plan)
     chain = _chain(spec, sample.data, smooth=smooth)
-    return EstimateReport(chain.value, chain, plan, sample.n)
+    return EstimateReport(chain.value, chain)
 
 
 @dataclass(frozen=True)

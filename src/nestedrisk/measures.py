@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import counter_normal
-from .asymptotics import AsymptoticReport
 from .core import CompositeSpec, DimSignature, LayerFn, PowerMaxForm
 from .errors import ConfigError, EvaluationError
 
@@ -229,21 +228,15 @@ class OuterAggregation:
 
 @dataclass(frozen=True)
 class SystemicSpec:
-    """Component specs, aggregation weights, and the outer measure."""
+    """Aggregation weights over the components and the outer measure."""
 
-    components: tuple[CompositeSpec, ...]
     weights: tuple[float, ...]
     outer: OuterAggregation
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if len(self.components) != w.shape[0]:
-            raise ConfigError("one weight per component is required")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ConfigError("weights must be nonnegative and sum to 1")
-        for comp in self.components:
-            if comp.signature.m0 != 1:
-                raise ConfigError("systemic components must be scalar-valued")
 
     @property
     def weight_vector(self) -> np.ndarray:
@@ -355,19 +348,19 @@ class SystemicLimitSummary:
     samples: int
 
 
-def systemic_limit(spec: SystemicSpec, component_report: AsymptoticReport,
-                   samples: int, seed: int) -> SystemicLimitSummary:
+def systemic_limit(spec: SystemicSpec, limit_cov, value, samples: int,
+                   seed: int) -> SystemicLimitSummary:
     """Sample the limit law of the systemic risk estimator.
 
     Draws N(0, limit_cov) vectors for the joint component limit and pushes
     them through the directional derivative of the aggregation at the
-    component risk vector: exactly <c, xi> for the linear outer, one-sided
-    finite differences (relative step 1e-6) for the outer mean-semideviation
-    (which equals the convex directional derivative in the limit).
+    component risk vector ``value``: exactly <c, xi> for a linear outer,
+    one-sided finite differences (relative step 1e-6) for an outer
+    mean-semideviation (the convex directional derivative in the limit).
     """
     if samples < 1:
         raise ConfigError("samples must be >= 1")
-    cov = np.atleast_2d(np.asarray(component_report.limit_cov, dtype=float))
+    cov = np.atleast_2d(np.asarray(limit_cov, dtype=float))
     ell = len(spec.weights)
     if cov.shape != (ell, ell):
         raise ConfigError("limit covariance has wrong shape")
@@ -384,12 +377,7 @@ def systemic_limit(spec: SystemicSpec, component_report: AsymptoticReport,
     if spec.outer.kind == "linear" or spec.outer.kappa == 0.0:
         draws = xi @ w
     else:
-        rho = component_report.value
-        if rho is None:
-            raise ConfigError(
-                "systemic_limit needs the component risk vector; the report "
-                "must carry .value")
-        rho = np.asarray(rho, dtype=float).reshape(-1)
+        rho = np.asarray(value, dtype=float).reshape(-1)
         base = float(spec.outer.aggregate(w, rho))
         norms = np.maximum(np.linalg.norm(xi, axis=1), 1.0)
         t = 1e-6 * max(1.0, float(np.linalg.norm(rho))) / norms

@@ -211,9 +211,8 @@ def test_criterion_4b_difference_distribution_ks():
 def _systemic_setup():
     pX, pY = _exact_problem(10.0, 3.0), _exact_problem(20.0, 5.0)
     repX, repY = nr.minimize_scalar(pX), nr.minimize_scalar(pY)
-    fam = _ho_family()
     outer = nr.OuterAggregation("mean_semideviation", kappa=0.5, p=2.0)
-    spec = nr.SystemicSpec((fam(repX.u_hat), fam(repY.u_hat)), (0.5, 0.5), outer)
+    spec = nr.SystemicSpec((0.5, 0.5), outer)
     return spec, repX, repY
 
 

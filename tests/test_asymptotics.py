@@ -218,30 +218,25 @@ def test_limit_variance_k0_is_sample_variance():
     assert cov[0, 0] == pytest.approx(2.0 / 3.0, rel=1e-14)
 
 
-def test_limit_variance_contrast_consistency():
-    rng = np.random.default_rng(6)
-    a1 = rng.normal(size=(2, 2))
-    spec = linear_spec([a1], m=1)
-    s = nr.Sample(rng.normal(size=30))
-    est = nr.estimate_empirical(spec, s)
-    sig = nr.plugin_sigma(spec, s, est.chain)
-    chains = nr.chain_matrices(spec, s, est.chain)
-    full = nr.limit_variance(sig, chains)
-    w = np.array([1.0, -1.0])
-    assert nr.limit_variance(sig, chains, w) == pytest.approx(
-        float(w @ full @ w), abs=1e-12)
-
-
 def test_contrast_on_two_independent_identical_components():
     # hand computation with a block-diagonal Sigma: variance of the (1,-1)
     # contrast is twice the single-component limit variance
     v = 1.7
-    full = np.diag([v, v])
-    sig = SigmaEstimate(((full[:1, :1], full[:1, 1:]),
-                         (full[1:, :1], full[1:, 1:])), full, (0, 1, 2))
+    sig = SigmaEstimate(np.diag([v, v]), (0, 1, 2))
     chains = nr.ChainMatrices((), (), np.eye(2))
-    out = nr.limit_variance(sig, chains, np.array([1.0, -1.0]))
-    assert out == pytest.approx(2 * v, rel=1e-14)
+    w = np.array([1.0, -1.0])
+    assert w @ nr.limit_variance(sig, chains) @ w == pytest.approx(2 * v, rel=1e-14)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: nr.limit_variance(SigmaEstimate(np.eye(3), (0, 1, 2, 3)),
+                              nr.ChainMatrices((), (), np.eye(1, 2))),
+    lambda: nr.confidence_interval(np.array([1.0, 2.0]), np.eye(3), 10, 0.95),
+    lambda: exact_limit_variance(msd(), None),
+], ids=["chain-width", "interval-size", "no-oracle"])
+def test_mismatched_inputs_raise_config_error(call):
+    with pytest.raises(nr.ConfigError):
+        call()
 
 
 # --- confidence_interval --------------------------------------------------------------
@@ -259,10 +254,10 @@ def test_interval_half_widths():
     spec = mean_spec()
     s = nr.Sample(np.array([0.0, 1.0]))
     est = nr.estimate_empirical(spec, s)
-    rep = nr.AsymptoticReport(None, None, np.array([[4.0]]), 100)
-    lo, hi = nr.confidence_interval(est, rep, 0.95)[0]
+    cov = np.array([[4.0]])
+    lo, hi = nr.confidence_interval(est.value, cov, 100, 0.95)[0]
     assert (hi - lo) / 2 == pytest.approx(1.959963984540054 * 0.2, rel=1e-9)
-    lo, hi = nr.confidence_interval(est, rep, 0.5)[0]
+    lo, hi = nr.confidence_interval(est.value, cov, 100, 0.5)[0]
     assert (hi - lo) / 2 == pytest.approx(0.6744897501960817 * 0.2, rel=1e-9)
 
 
@@ -270,10 +265,9 @@ def test_interval_level_validation():
     spec = mean_spec()
     s = nr.Sample(np.array([0.0, 1.0]))
     est = nr.estimate_empirical(spec, s)
-    rep = nr.AsymptoticReport(None, None, np.array([[1.0]]), 10)
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(nr.ConfigError):
-            nr.confidence_interval(est, rep, bad)
+            nr.confidence_interval(est.value, np.array([[1.0]]), 10, bad)
 
 
 def test_exact_limit_variance_matches_plugin_at_scale():

@@ -1,6 +1,8 @@
 import json
 
+import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import nestedrisk as nr
 from nestedrisk._rng import derive_seed
@@ -158,7 +160,36 @@ def test_systemic_runs(sys_json, tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["exact_value"] == pytest.approx(23.3704, abs=2e-3)
-    assert "limit_quantiles" in doc and "limit_variance" in doc
+    assert "limit_quantiles" in doc
+    # the limit is the library's, from the exact component values and variances
+    fam = nr.make_higher_order_family(nr.MeasureParams(c=20.0, p=2.0))
+    thetas, variances = [], []
+    for law in (nr.Normal(10.0, float(SQRT3)), nr.Normal(20.0, float(SQRT5))):
+        mean, var = law.moments()
+        sd = np.sqrt(var)
+        prob = nr.ScalarProblem(fam, (float(mean - 6 * sd), float(mean + 12 * sd)),
+                                "exact-oracle", oracle=law.oracle())
+        rep = nr.minimize_scalar(prob)
+        thetas.append(rep.theta)
+        variances.append(nr.optimal_value_clt_variance(prob, None, rep.u_hat))
+    spec = nr.SystemicSpec((0.5, 0.5), nr.OuterAggregation("mean_semideviation",
+                                                           kappa=0.5, p=2.0))
+    lim = nr.systemic_limit(spec, np.diag(variances), np.array(thetas), 20000, 6)
+    assert doc["exact_components"] == thetas
+    assert doc["limit_variance"] == lim.variance
+
+
+@pytest.mark.parametrize("kernel", [[], ["--kernel", "uniform"]],
+                         ids=["empirical", "uniform"])
+def test_estimate_higher_order_interval_is_the_normal_interval(kernel, ho_json,
+                                                                tmp_path):
+    out = tmp_path / "ho_est.json"
+    code = run_cli(["estimate", "--measure", ho_json, "--law", f"normal:10,{SQRT3}",
+                    "--n", "200", "--seed", "7", "--out", str(out)] + kernel)
+    assert code == 0
+    doc = json.loads(out.read_text())
+    half = float(ndtri(0.975)) * np.sqrt(doc["limit_variance"] / 200)
+    assert doc["interval"] == [doc["value"] - half, doc["value"] + half]
 
 
 def test_estimate_on_systemic_measure(sys_json, tmp_path):
@@ -178,7 +209,7 @@ def test_estimate_on_systemic_measure(sys_json, tmp_path):
                                 "empirical-sample", sample=col)
         thetas.append(nr.minimize_scalar(prob, flat_check_grid=0).theta)
     outer = nr.OuterAggregation("mean_semideviation", kappa=0.5, p=2.0)
-    spec = nr.SystemicSpec((fam(10.0), fam(20.0)), (0.5, 0.5), outer)
+    spec = nr.SystemicSpec((0.5, 0.5), outer)
     assert doc["components"] == thetas
     assert doc["value"] == nr.systemic_value(thetas, spec)
 

@@ -69,6 +69,29 @@ def test_empirical_mean_overflow_names_the_layer():
     assert (err.value.layer, err.value.sample_index) == (1, None)
 
 
+@pytest.mark.filterwarnings("error")
+def test_nonfinite_layer_mean_names_the_layer_under_warnings_as_errors():
+    # numpy warns on a sum of +inf and -inf rows and on a sum that overflows;
+    # raised as an error, that warning must still end in the named error
+    from nestedrisk.core import CompositeSpec, DimSignature, LayerFn
+
+    def f1(x):
+        return np.where(x[:, 0] > 0, np.inf, -np.inf)
+
+    signed_inf = CompositeSpec(DimSignature(1, 0, (1,)), (LayerFn(1, f1),))
+    x = np.array([1.0, -1.0])
+    for run in (lambda: nr.estimate_empirical(signed_inf, nr.Sample(x)),
+                lambda: nr.eval_exact_chain(signed_inf,
+                                            nr.discrete_oracle(x, [0.5, 0.5]))):
+        with pytest.raises(nr.EvaluationError) as err:
+            run()
+        assert (err.value.layer, err.value.sample_index) == (1, 0)
+    overflow = nr.make_higher_order_family(nr.MeasureParams(c=2.0, p=1.0))(0.0)
+    with pytest.raises(nr.EvaluationError) as err:
+        nr.estimate_empirical(overflow, nr.Sample(np.full(200, 5e306)))
+    assert (err.value.layer, err.value.sample_index) == (1, None)
+
+
 def test_dimension_mismatch_rejected():
     s = nr.Sample(np.zeros((4, 2)))
     with pytest.raises(nr.ConfigError):

@@ -166,8 +166,7 @@ def outer_msd(kappa=0.5, p=2.0):
 
 
 def _sys_spec(outer, ell=2):
-    comp = nr.make_mean_semideviation(nr.MeasureParams(kappa=0.5, p=2.0))
-    return nr.SystemicSpec((comp,) * ell, (1.0 / ell,) * ell, outer)
+    return nr.SystemicSpec((1.0 / ell,) * ell, outer)
 
 
 def test_systemic_value_symmetric_input():
@@ -183,10 +182,15 @@ def test_systemic_value_matches_reported_configuration():
 
 
 def test_systemic_linear_outer_dot_product():
-    comp = nr.make_mean_semideviation(nr.MeasureParams(kappa=0.5, p=2.0))
-    spec = nr.SystemicSpec((comp, comp), (0.25, 0.75),
-                           nr.OuterAggregation("linear"))
+    spec = nr.SystemicSpec((0.25, 0.75), nr.OuterAggregation("linear"))
     assert nr.systemic_value([1.0, 3.0], spec) == pytest.approx(2.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("weights", [(-0.5, 1.5), (0.5, 0.6)],
+                         ids=["negative", "sum-1.1"])
+def test_systemic_spec_rejects_weights_that_are_not_a_law(weights):
+    with pytest.raises(nr.ConfigError):
+        nr.SystemicSpec(weights, nr.OuterAggregation("linear"))
 
 
 def test_systemic_kappa_zero_equals_linear():
@@ -240,19 +244,15 @@ def test_stacked_exact_limit_covariance_block_diagonal_for_independent():
 # --- systemic_limit ---------------------------------------------------------------------
 
 def test_systemic_limit_linear_standard_normal():
-    comp = nr.make_mean_semideviation(nr.MeasureParams(kappa=0.5, p=2.0))
-    spec = nr.SystemicSpec((comp, comp), (1.0, 0.0), nr.OuterAggregation("linear"))
-    rep = nr.AsymptoticReport.from_limit_cov(np.eye(2), 100, value=np.array([1.0, 1.0]))
-    lim = nr.systemic_limit(spec, rep, 100_000, seed=5)
+    spec = nr.SystemicSpec((1.0, 0.0), nr.OuterAggregation("linear"))
+    lim = nr.systemic_limit(spec, np.eye(2), np.array([1.0, 1.0]), 100_000, seed=5)
     assert abs(lim.variance - 1.0) < 0.05
     assert abs(lim.quantiles[50]) < 0.02
 
 
 def test_systemic_limit_degenerate_covariance():
     spec = _sys_spec(outer_msd())
-    rep = nr.AsymptoticReport.from_limit_cov(np.zeros((2, 2)), 100,
-                                             value=np.array([1.0, 2.0]))
-    lim = nr.systemic_limit(spec, rep, 1000, seed=4)
+    lim = nr.systemic_limit(spec, np.zeros((2, 2)), np.array([1.0, 2.0]), 1000, seed=4)
     assert all(q == pytest.approx(0.0, abs=1e-12) for q in lim.quantiles.values())
 
 
@@ -268,24 +268,23 @@ def test_systemic_limit_matches_delta_method_gradient():
     expected = float(grad @ cov @ grad)
 
     spec = _sys_spec(outer_msd(kappa, 2.0))
-    rep = nr.AsymptoticReport.from_limit_cov(cov, 200, value=rho)
-    lim = nr.systemic_limit(spec, rep, 200_000, seed=9)
+    lim = nr.systemic_limit(spec, cov, rho, 200_000, seed=9)
     assert abs(lim.variance / expected - 1.0) < 0.05
 
 
-def test_systemic_limit_requires_value_for_nonlinear_outer():
-    spec = _sys_spec(outer_msd())
-    rep = nr.AsymptoticReport.from_limit_cov(np.eye(2), 100)
+@pytest.mark.parametrize("cov, samples", [(np.eye(2), 0), (np.eye(3), 100)],
+                         ids=["no-samples", "wrong-shape"])
+def test_systemic_limit_rejects_bad_inputs(cov, samples):
     with pytest.raises(nr.ConfigError):
-        nr.systemic_limit(spec, rep, 100, seed=1)
+        nr.systemic_limit(_sys_spec(outer_msd()), cov, np.array([1.0, 2.0]),
+                          samples, seed=1)
 
 
 def test_systemic_limit_rejects_non_psd():
     spec = _sys_spec(outer_msd())
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-    rep = nr.AsymptoticReport.from_limit_cov(bad, 100, value=np.array([1.0, 2.0]))
     with pytest.raises(nr.EvaluationError):
-        nr.systemic_limit(spec, rep, 100, seed=1)
+        nr.systemic_limit(spec, bad, np.array([1.0, 2.0]), 100, seed=1)
 
 
 # --- JSON round trip ----------------------------------------------------------------------
