@@ -23,14 +23,14 @@ print(f"  validation: {nr.validate_spec(spec).ok}")
 
 # a two-atom law lets us check the arithmetic by hand:
 # E[X] = 1, inner mean = 0.5 * (1 - 0)^2 = 0.5, value = 1 + 0.5 * sqrt(0.5)
-chain = nr.eval_exact_chain(spec, nr.two_point_oracle(0.0, 2.0))
+chain = nr.eval_exact_chain(spec, nr.TwoPoint(0.0, 2.0).oracle())
 print("\ntwo-point law {0, 2}:")
 print(f"  chain (innermost first): {[float(e[0]) for e in chain.eta]}")
 print(f"  value = {chain.value[0]:.10f}  (hand: {1 + 0.5 * np.sqrt(0.5):.10f})")
 
 # a normal law with mean 10 and variance 3 (the laws in the simulation
 # studies are parameterized by variance)
-oracle = nr.normal_oracle(10.0, np.sqrt(3.0))
+oracle = nr.Normal(10.0, np.sqrt(3.0)).oracle()
 chain_n = nr.eval_exact_chain(spec, oracle)
 print("\nnormal(mean 10, variance 3):")
 print(f"  value = {chain_n.value[0]:.6f}  "
@@ -38,9 +38,9 @@ print(f"  value = {chain_n.value[0]:.6f}  "
 
 # coherence sanity: translation equivariance and positive homogeneity
 xs = np.array([0.2, 1.4, 3.3, -0.7])
-base = nr.eval_exact_chain(spec, nr.discrete_oracle(xs[:, None],
+base = nr.eval_exact_chain(spec, nr.QuadratureRule(xs[:, None],
                                                     np.full(4, 0.25))).value[0]
-shifted = nr.eval_exact_chain(spec, nr.discrete_oracle((xs + 5)[:, None],
+shifted = nr.eval_exact_chain(spec, nr.QuadratureRule((xs + 5)[:, None],
                                                        np.full(4, 0.25))).value[0]
 print(f"\ntranslation: rho[X+5] - rho[X] = {shifted - base:.12f} (should be 5)")
 

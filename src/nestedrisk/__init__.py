@@ -12,9 +12,7 @@ from .asymptotics import (AsymptoticReport, ChainMatrices, SigmaEstimate,
                           limit_variance, plugin_sigma, propagate_direction)
 from .core import (CompositeSpec, DimSignature, Direction, EtaChain,
                    LayerFn, PowerMaxForm, QuadratureRule,
-                   ValidationResult, discrete_oracle, eval_exact_chain,
-                   normal_oracle, product_oracle, two_point_oracle,
-                   uniform_oracle, validate_spec)
+                   ValidationResult, eval_exact_chain, validate_spec)
 from .errors import ConfigError, EvaluationError
 from .estimators import (BandwidthSchedule, EstimateReport, IdentityCheck,
                          KernelSpec, Sample, SmoothingPlan, bandwidth,

@@ -23,8 +23,8 @@ from .errors import ConfigError, EvaluationError
 from .estimators import (BandwidthSchedule, KernelSpec, Sample, SmoothingPlan,
                          estimate_empirical, estimate_mixed)
 from .harness import (ProductLaw, Reference, ReplicationTable, SamplerConfig,
-                      dumps_json, law_dimension, parse_law, run_replications,
-                      sample, summarize_distribution, summary_json)
+                      dumps_json, parse_law, run_replications, sample,
+                      summarize_distribution, summary_json)
 from .measures import (MeasureConfig, parse_measure, systemic_limit,
                        systemic_value, SystemicSpec)
 from .optimize import (ScalarProblem, default_bracket, minimize_scalar,
@@ -62,7 +62,7 @@ def _add_replication(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--bins", type=int, default=None, help="histogram bin count")
     p.add_argument("--hist-out", default=None,
-                   help="also write the histogram CSV to this path")
+                   help="also write the histogram CSV to this path ('-' for stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,11 +128,12 @@ def _plan_from_args(args, m: int) -> SmoothingPlan | None:
     return SmoothingPlan(layers, kernel, _parse_bandwidth(args.bandwidth))
 
 
-def _write(args, text: str) -> None:
-    if args.out == "-":
+def _write(path: str, text: str) -> None:
+    """Write text to path, '-' meaning stdout."""
+    if path == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -173,9 +174,9 @@ def _exact(mcfg: MeasureConfig, law):
     built = _scalar_build(mcfg)
     oracle = law.oracle()
     if mcfg.kind == "higher_order":
-        if law_dimension(law) != 1:
+        if law.dimension != 1:
             raise ConfigError(
-                f"law dimension {law_dimension(law)} does not match spec dimension 1")
+                f"law dimension {law.dimension} does not match spec dimension 1")
         mean, var = law.moments()
         sd = np.sqrt(var)
         prob = ScalarProblem(built, (float(mean - 6 * sd), float(mean + 12 * sd)),
@@ -197,10 +198,10 @@ def _systemic_pieces(mcfg: MeasureConfig, law):
     if mcfg.kind != "systemic":
         raise ConfigError("the systemic command needs a systemic measure")
     ell = len(mcfg.components)
-    if law_dimension(law) != ell:
+    if law.dimension != ell:
         raise ConfigError(
             f"systemic law must have one coordinate per component ({ell})")
-    return (mcfg.components, law.laws,
+    return (mcfg.components, getattr(law, "laws", (law,)),
             SystemicSpec(mcfg.params.weights, mcfg.outer))
 
 
@@ -208,7 +209,7 @@ def cmd_estimate(args) -> int:
     mcfg = parse_measure(args.measure)
     law = parse_law(args.law)
     systemic = mcfg.kind == "systemic"
-    plan = _plan_from_args(args, 1 if systemic else law_dimension(law))
+    plan = _plan_from_args(args, 1 if systemic else law.dimension)
     cfg = SamplerConfig(law, args.seed)
     s = sample(cfg, args.n)
     config = {"measure": mcfg.to_json(), "law": repr(law), "n": s.n,
@@ -239,7 +240,7 @@ def cmd_estimate(args) -> int:
                "level": args.level,
                "interval": [list(iv) for iv in arep.intervals],
                "config": config}
-    _write(args, dumps_json(doc))
+    _write(args.out, dumps_json(doc))
     return 0
 
 
@@ -253,9 +254,9 @@ def _emit_table(args, table: ReplicationTable, reference: Reference,
         doc = summary_json(summary, table.config)
         doc.update(extra)
         text = dumps_json(doc)
-    _write(args, text)
+    _write(args.out, text)
     if args.hist_out and summary.histogram is not None:
-        summary.histogram.to_csv(args.hist_out)
+        _write(args.hist_out, summary.histogram.to_csv())
 
 
 def cmd_simulate(args) -> int:
@@ -265,7 +266,7 @@ def cmd_simulate(args) -> int:
     if args.command == "optimize" and mcfg.kind != "higher_order":
         raise ConfigError("the optimize command needs a higher_order measure")
     law = parse_law(args.law)
-    plan = _plan_from_args(args, law_dimension(law))
+    plan = _plan_from_args(args, law.dimension)
     exact, v = _exact(mcfg, law)
     reference = Reference(exact, v / args.n)
     cfg = SamplerConfig(law, args.seed)
@@ -281,7 +282,7 @@ def cmd_compare(args) -> int:
     m1 = parse_measure(args.measure)
     m2 = parse_measure(args.measure2) if args.measure2 else m1
     l1, l2 = parse_law(args.law), parse_law(args.law2)
-    if law_dimension(l1) != 1 or law_dimension(l2) != 1:
+    if l1.dimension != 1 or l2.dimension != 1:
         raise ConfigError("compare expects scalar laws")
     plan = _plan_from_args(args, 1)
     exact1, v1 = _exact(m1, l1)
@@ -345,7 +346,7 @@ def cmd_check_identity(args) -> int:
            "exponent_s2b": check.exponent_s2b, "detail": check.detail,
            "kernel": {"family": kernel.family, "dimension": kernel.dimension,
                       "m1": kernel.m1, "mp": kernel.mp}}
-    _write(args, dumps_json(doc))
+    _write(args.out, dumps_json(doc))
     return 0
 
 
@@ -362,6 +363,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "n", 1) < 1:
+            raise ConfigError("sample size must be >= 1")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -13,9 +13,10 @@ Evaluators are vectorized over sample rows: a middle layer receives
 (a 1-d array is accepted when the output dimension is one); the innermost
 layer receives ``X`` alone.
 
-The law P of X enters exact evaluation only as a ``QuadratureRule``: the
-``*_oracle`` constructors build the rule for a law, and that rule is the
-oracle. Samples from a law are drawn by ``harness.sample`` alone. Exact
+The law P of X enters exact evaluation only as a ``QuadratureRule``, the
+oracle: a law's ``oracle()`` (``harness``) builds it, and
+``QuadratureRule(atoms, weights)`` is a finite discrete law's exact rule.
+Samples from a law are drawn by ``harness.sample`` alone. Exact
 evaluation, the plug-in estimators and the solvers' objectives all take
 their nested means in ``_chain``, over a point set: the rows of a sample,
 or the nodes of a rule with its weights.
@@ -329,79 +330,3 @@ def layer_jacobian(spec: CompositeSpec, j: int, eta: np.ndarray,
         em = eta.copy(); em[c] -= h
         jac[:, :, c] = (_eval_layer(spec, j, ep, x) - _eval_layer(spec, j, em, x)) / (2 * h)
     return jac
-
-
-# ---------------------------------------------------------------------------
-# Oracle constructors
-# ---------------------------------------------------------------------------
-
-def _composite_gl(a: float, b: float, panels: int, per_panel: int):
-    """Composite Gauss-Legendre nodes/weights on [a, b].
-
-    Piecewise low-order panels keep kinked integrands (tail powers such as
-    max(0, x-u)^p) accurate: a kink degrades only the panel containing it.
-    """
-    zn, zw = np.polynomial.legendre.leggauss(per_panel)
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * zn[None, :]).ravel()
-    weights = (half[:, None] * zw[None, :]).ravel()
-    return nodes, weights
-
-
-def normal_oracle(mean: float, std: float, *, nodes: int = 1000,
-                  width: float = 10.0) -> QuadratureRule:
-    """Quadrature rule for a scalar normal law.
-
-    Composite Gauss-Legendre against the normal density on mean +- width*std
-    (10 nodes per panel); with the default 1000 nodes the tail power
-    integrals used by the shipped measures are accurate to roughly 1e-9
-    relative.
-    """
-    if std <= 0:
-        raise ConfigError("normal std must be positive")
-    per_panel = 10
-    panels = max(int(nodes) // per_panel, 4)
-    z, w = _composite_gl(-width, width, panels, per_panel)
-    w = w * np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi)
-    w /= w.sum()
-    return QuadratureRule((mean + std * z)[:, None], w)
-
-
-def uniform_oracle(a: float, b: float, *, nodes: int = 1000) -> QuadratureRule:
-    """Quadrature rule for the uniform law on [a, b] (composite Gauss-Legendre)."""
-    if not a < b:
-        raise ConfigError("uniform law requires a < b")
-    per_panel = 10
-    panels = max(int(nodes) // per_panel, 4)
-    x, w = _composite_gl(a, b, panels, per_panel)
-    w = w / (b - a)
-    w /= w.sum()
-    return QuadratureRule(x[:, None], w)
-
-
-def discrete_oracle(atoms, weights) -> QuadratureRule:
-    """Quadrature rule for a finite discrete law; it is exact."""
-    atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-    if atoms.shape[0] == 1 and atoms.shape[1] > 1:
-        atoms = atoms.T
-    return QuadratureRule(atoms, weights)
-
-
-def two_point_oracle(x1: float, x2: float, w: float = 0.5) -> QuadratureRule:
-    """Two-atom law: P(X = x1) = w, P(X = x2) = 1 - w."""
-    if not 0 < w < 1:
-        raise ConfigError("two-point weight must lie in (0, 1)")
-    return discrete_oracle([[x1], [x2]], [w, 1 - w])
-
-
-def product_oracle(oracles: Sequence[QuadratureRule]) -> QuadratureRule:
-    """Product law of independent scalar laws (tensor quadrature).
-
-    The node count multiplies across coordinates, so this is intended for a
-    handful of dimensions.
-    """
-    if any(o.nodes.shape[1] != 1 for o in oracles):
-        raise ConfigError("product_oracle factors must be one-dimensional")
-    return QuadratureRule.product(oracles)

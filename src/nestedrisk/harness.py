@@ -5,9 +5,10 @@ Laws, a counter-based sampler (draw (i, j) of a sample is a pure function of
 any worker count, and distributional summaries (histograms, KS distances)
 for comparing replication tables against normal references.
 
-A law is the single description of P: ``sample`` is the only place that
-draws from it, and ``law.oracle()`` is the quadrature rule that integrates
-against it for exact values.
+A law is the single description of P: it holds its parameters and their
+checks, its ``dimension`` m, its ``transform`` of an (n, m) block of
+uniforms, and its quadrature rule ``law.oracle()``, which integrates
+against it for exact values. ``sample`` is the only place that draws.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from ._rng import counter_uniform, derive_seed
-from .core import (QuadratureRule, normal_oracle, product_oracle,
-                   two_point_oracle, uniform_oracle)
+from .core import QuadratureRule
 from .errors import ConfigError, EvaluationError
 from .estimators import Sample
 
@@ -29,11 +29,34 @@ from .estimators import Sample
 # Laws
 # ---------------------------------------------------------------------------
 
+# Composite Gauss-Legendre: 10 nodes per panel; the normal rule spans
+# mean +- 10 std.
+_PER_PANEL = 10
+_NORMAL_WIDTH = 10.0
+
+
+def _composite_gl(a: float, b: float, nodes: int):
+    """Composite Gauss-Legendre nodes/weights on [a, b], with
+    ``nodes // 10`` panels (at least 4).
+
+    Piecewise low-order panels keep kinked integrands (tail powers such as
+    max(0, x-u)^p) accurate: a kink degrades only the panel containing it.
+    """
+    panels = max(int(nodes) // _PER_PANEL, 4)
+    zn, zw = np.polynomial.legendre.leggauss(_PER_PANEL)
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * zn[None, :]).ravel()
+    weights = (half[:, None] * zw[None, :]).ravel()
+    return nodes, weights
+
 
 @dataclass(frozen=True)
 class Normal:
     mean: float
     std: float
+    dimension = 1
 
     def __post_init__(self):
         if self.std <= 0:
@@ -46,13 +69,20 @@ class Normal:
         return self.mean, self.std ** 2
 
     def oracle(self, nodes: int = 1000) -> QuadratureRule:
-        return normal_oracle(self.mean, self.std, nodes=nodes)
+        """Composite Gauss-Legendre against the normal density on
+        mean +- 10 std; with the default 1000 nodes the tail power integrals
+        of the shipped measures are accurate to roughly 1e-9 relative."""
+        z, w = _composite_gl(-_NORMAL_WIDTH, _NORMAL_WIDTH, nodes)
+        w = w * np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi)
+        w /= w.sum()
+        return QuadratureRule((self.mean + self.std * z)[:, None], w)
 
 
 @dataclass(frozen=True)
 class Uniform:
     a: float
     b: float
+    dimension = 1
 
     def __post_init__(self):
         if not self.a < self.b:
@@ -65,14 +95,21 @@ class Uniform:
         return 0.5 * (self.a + self.b), (self.b - self.a) ** 2 / 12.0
 
     def oracle(self, nodes: int = 1000) -> QuadratureRule:
-        return uniform_oracle(self.a, self.b, nodes=nodes)
+        """Composite Gauss-Legendre on [a, b]."""
+        x, w = _composite_gl(self.a, self.b, nodes)
+        w = w / (self.b - self.a)
+        w /= w.sum()
+        return QuadratureRule(x[:, None], w)
 
 
 @dataclass(frozen=True)
 class TwoPoint:
+    """P(X = x1) = w, P(X = x2) = 1 - w."""
+
     x1: float
     x2: float
     w: float = 0.5
+    dimension = 1
 
     def __post_init__(self):
         if not 0.0 < self.w < 1.0:
@@ -87,29 +124,35 @@ class TwoPoint:
         return mean, var
 
     def oracle(self, nodes: int = 1000) -> QuadratureRule:
-        return two_point_oracle(self.x1, self.x2, self.w)
-
-
-ScalarLaw = Normal | Uniform | TwoPoint
+        """The exact two-atom rule (``nodes`` is not read)."""
+        return QuadratureRule([[self.x1], [self.x2]], [self.w, 1 - self.w])
 
 
 @dataclass(frozen=True)
 class ProductLaw:
-    """Independent scalar laws per coordinate."""
+    """Independent one-dimensional laws, one per coordinate."""
 
     laws: tuple
 
     def __post_init__(self):
         if not self.laws:
             raise ConfigError("product law needs at least one coordinate")
+        if any(getattr(law, "dimension", None) != 1 for law in self.laws):
+            raise ConfigError("product law factors must be one-dimensional")
+
+    @property
+    def dimension(self) -> int:
+        return len(self.laws)
+
+    def transform(self, u: np.ndarray) -> np.ndarray:
+        return np.concatenate([law.transform(u[:, j:j + 1])
+                               for j, law in enumerate(self.laws)], axis=1)
 
     def oracle(self, nodes: int = 1000) -> QuadratureRule:
+        """Tensor-product rule of the factors' rules; the node count
+        multiplies across coordinates, so this suits a handful of them."""
         per = max(nodes // 10, 40) if len(self.laws) > 1 else nodes
-        return product_oracle([law.oracle(per) for law in self.laws])
-
-
-def law_dimension(law) -> int:
-    return len(law.laws) if isinstance(law, ProductLaw) else 1
+        return QuadratureRule.product([law.oracle(per) for law in self.laws])
 
 
 @dataclass(frozen=True)
@@ -123,14 +166,12 @@ class SamplerConfig:
 def sample(config: SamplerConfig, n: int) -> Sample:
     """Draw an n x m sample; entry (i, j) consumes counter i * m + j of the
     uniform stream keyed by config.seed, then maps through the coordinate
-    law's inverse CDF."""
+    law's inverse CDF (``law.transform`` of the (n, m) block)."""
     if n < 1:
         raise ConfigError("sample size must be >= 1")
-    m = law_dimension(config.law)
-    u = counter_uniform(config.seed, 0, n * m).reshape(n, m)
-    laws = config.law.laws if isinstance(config.law, ProductLaw) else (config.law,)
-    cols = [laws[j].transform(u[:, j]) for j in range(m)]
-    return Sample(np.stack(cols, axis=1))
+    m = config.law.dimension
+    return Sample(config.law.transform(
+        counter_uniform(config.seed, 0, n * m).reshape(n, m)))
 
 
 def parse_law(text: str):
@@ -262,16 +303,13 @@ class Histogram:
     density: np.ndarray
     reference_density: np.ndarray
 
-    def to_csv(self, out=None) -> str | None:
+    def to_csv(self) -> str:
+        """Histogram CSV; floats carry 17 significant digits."""
         lines = ["bin_left,bin_right,density,reference_density"]
         for row in zip(self.bin_left, self.bin_right, self.density,
                        self.reference_density):
             lines.append(",".join(format_float(v) for v in row))
-        text = "\n".join(lines) + "\n"
-        if out is None:
-            return text
-        _write_text(out, text)
-        return None
+        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -359,11 +397,3 @@ def summary_json(summary: DistributionSummary, config: dict) -> dict:
                       "variance": summary.reference.variance},
         "config": config,
     }
-
-
-def _write_text(out, text: str) -> None:
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)

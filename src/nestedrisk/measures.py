@@ -364,6 +364,9 @@ def systemic_limit(spec: SystemicSpec, limit_cov, value, samples: int,
     ell = len(spec.weights)
     if cov.shape != (ell, ell):
         raise ConfigError("limit covariance has wrong shape")
+    rho = np.asarray(value, dtype=float).reshape(-1)
+    if rho.shape != (ell,) or not np.all(np.isfinite(rho)):
+        raise ConfigError("risk vector must hold one finite value per component")
     lam, q = np.linalg.eigh(0.5 * (cov + cov.T))
     scale = max(float(np.trace(cov)), 0.0)
     if lam[0] < -1e-9 * max(scale, 1e-300):
@@ -377,7 +380,6 @@ def systemic_limit(spec: SystemicSpec, limit_cov, value, samples: int,
     if spec.outer.kind == "linear" or spec.outer.kappa == 0.0:
         draws = xi @ w
     else:
-        rho = np.asarray(value, dtype=float).reshape(-1)
         base = float(spec.outer.aggregate(w, rho))
         norms = np.maximum(np.linalg.norm(xi, axis=1), 1.0)
         t = 1e-6 * max(1.0, float(np.linalg.norm(rho))) / norms
@@ -475,6 +477,8 @@ def parse_measure(doc) -> MeasureConfig:
                 u=None if u is None else tuple(float(v) for v in u))
         if kind == "systemic":
             outer_doc = doc.get("outer", {"kind": "linear"})
+            if not isinstance(outer_doc, dict):
+                raise ConfigError("systemic 'outer' must be an object")
             outer = OuterAggregation(
                 outer_doc.get("kind", "linear"),
                 kappa=float(outer_doc.get("kappa", 0.0)),

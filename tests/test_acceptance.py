@@ -48,7 +48,7 @@ def _ho_family():
 
 def _exact_problem(mean, var):
     sd = np.sqrt(var)
-    oracle = nr.normal_oracle(mean, sd)
+    oracle = nr.Normal(mean, sd).oracle()
     return nr.ScalarProblem(_ho_family(), (mean - 6 * sd, mean + 12 * sd),
                             "exact-oracle", oracle=oracle)
 
@@ -273,7 +273,7 @@ def test_criterion_6_clt_property_suite():
     r0 = e0.var(ddof=1) / v0.mean()
     # mean-semideviation of N(10, var 3)
     spec = nr.make_mean_semideviation(nr.MeasureParams(kappa=0.5, p=2.0))
-    exact = float(nr.eval_exact_chain(spec, nr.normal_oracle(10.0, SQ3)).value[0])
+    exact = float(nr.eval_exact_chain(spec, nr.Normal(10.0, SQ3).oracle()).value[0])
     z1, e1, v1 = _standardized_errors(spec, nr.Normal(10.0, SQ3), exact,
                                       n, R, base_seed=99)
     d1 = nr.ks_distance(z1, 0.0, 1.0)

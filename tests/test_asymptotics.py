@@ -272,7 +272,7 @@ def test_interval_level_validation():
 
 def test_exact_limit_variance_matches_plugin_at_scale():
     spec = msd()
-    oracle = nr.normal_oracle(10.0, np.sqrt(3.0))
+    oracle = nr.Normal(10.0, np.sqrt(3.0)).oracle()
     exact = exact_limit_variance(spec, oracle)[0, 0]
     s = nr.sample(nr.SamplerConfig(nr.Normal(10.0, np.sqrt(3.0)), 11), 200_000)
     est = nr.estimate_empirical(spec, s)
@@ -284,19 +284,19 @@ def _ho(c, p, u):
     return nr.make_higher_order_family(nr.MeasureParams(c=c, p=p))(u)
 
 
-def _n3(nodes=1000):
-    return nr.normal_oracle(10.0, np.sqrt(3.0), nodes=nodes)
+def _n3():
+    return nr.Normal(10.0, np.sqrt(3.0)).oracle()
 
 
 # values recorded before the layer-major rewrite of the stacked evaluations
 @pytest.mark.parametrize("make, want", [
     (lambda: (msd(0.5, 2.0), _n3()), [[3.2300175853619737]]),
     (lambda: (msd(1.0, 3.0), _n3()), [[5.07799539086295]]),
-    (lambda: (msd(0.5, 2.0), nr.uniform_oracle(0.0, 4.0)), [[1.583290811898619]]),
+    (lambda: (msd(0.5, 2.0), nr.Uniform(0.0, 4.0).oracle()), [[1.583290811898619]]),
     (lambda: (_ho(4.0, 3.0, 11.0), _n3()), [[52.37587346327594]]),
     (lambda: (nr.stack_specs([msd(0.5, 2.0), _ho(4.0, 2.0, 11.0)]),
-              nr.product_oracle([_n3(200),
-                                 nr.normal_oracle(20.0, np.sqrt(5.0), nodes=200)])),
+              nr.ProductLaw((nr.Normal(10.0, np.sqrt(3.0)),
+                             nr.Normal(20.0, np.sqrt(5.0)))).oracle(2000)),
      [[3.2300175853678614, 0.0], [0.0, 77.67453956925885]]),
 ], ids=["msd-normal", "msd-p3-normal", "msd-uniform", "higher-order-p3", "stack"])
 def test_exact_limit_variance_pinned_values(make, want):
@@ -310,8 +310,8 @@ def test_exact_limit_variance_pinned_values(make, want):
 def test_exact_limit_variance_is_translation_invariant(mu):
     # mean-semideviation's limit variance does not depend on the location;
     # a second moment minus the squared mean would cancel it away at 1e6
-    want = exact_limit_variance(msd(0.5, 2.0), nr.normal_oracle(0.0, np.sqrt(3.0)))
-    got = exact_limit_variance(msd(0.5, 2.0), nr.normal_oracle(mu, np.sqrt(3.0)))
+    want = exact_limit_variance(msd(0.5, 2.0), nr.Normal(0.0, np.sqrt(3.0)).oracle())
+    got = exact_limit_variance(msd(0.5, 2.0), nr.Normal(mu, np.sqrt(3.0)).oracle())
     np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
@@ -333,7 +333,7 @@ def test_exact_limit_variance_degenerate_tail_raises():
     # of u + c * eta^(1/2) is singular
     spec = nr.make_higher_order_family(nr.MeasureParams(c=20.0, p=2.0))(200.0)
     with pytest.raises(nr.EvaluationError) as info:
-        exact_limit_variance(spec, nr.normal_oracle(10.0, np.sqrt(3.0)))
+        exact_limit_variance(spec, nr.Normal(10.0, np.sqrt(3.0)).oracle())
     assert info.value.layer == 1
 
 
@@ -356,7 +356,7 @@ def test_exact_limit_variance_overflow_raises_naming_the_layer():
     # overflows; the plug-in covariance of a sample fails the same way
     spec = msd(0.5, 100.0)
     with pytest.raises(nr.EvaluationError) as info:
-        exact_limit_variance(spec, nr.normal_oracle(0.0, 10.0))
+        exact_limit_variance(spec, nr.Normal(0.0, 10.0).oracle())
     assert info.value.layer == 2
     s = nr.sample(nr.SamplerConfig(nr.Normal(0.0, 10.0), 1), 200)
     with pytest.raises(nr.EvaluationError) as info:
@@ -372,7 +372,7 @@ def test_equal_weight_rule_equals_the_sample(kind, n, p, seed):
     x = np.random.default_rng(seed).normal(10.0, np.sqrt(3.0), n)
     s = nr.Sample(x)
     spec = msd(0.5, p) if kind == "msd" else _ho(20.0, p, float(np.quantile(x, 0.9)))
-    oracle = nr.discrete_oracle(s.data, np.full(n, 1.0 / n))
+    oracle = nr.QuadratureRule(s.data, np.full(n, 1.0 / n))
     est = nr.estimate_empirical(spec, s)
     np.testing.assert_allclose(est.value, nr.eval_exact_chain(spec, oracle).value,
                                rtol=1e-12)
@@ -401,7 +401,7 @@ def test_k0_limit_variance_matches_replication_variance():
 def test_mean_semideviation_clt_ks():
     # standardized errors at n=200 over 1000 replications: KS vs N(0,1) < 0.06
     spec = msd()
-    oracle = nr.normal_oracle(10.0, np.sqrt(3.0))
+    oracle = nr.Normal(10.0, np.sqrt(3.0)).oracle()
     exact = nr.eval_exact_chain(spec, oracle).value[0]
     law = nr.Normal(10.0, np.sqrt(3.0))
     R, n = 1000, 200

@@ -304,6 +304,15 @@ _LAWS = f"normal:10,{SQRT3}*normal:20,{SQRT5}"
 _MISMATCH = json.dumps({"kind": "systemic", "weights": [0.5, 0.5, 0.0],
                         "components": [{"kind": "higher_order"}] * 2})
 _NO_ALLOCATION = '{"kind": "portfolio_semideviation", "m": 2}'
+_PORTFOLIO = '{"kind": "portfolio_semideviation", "m": 2, "u": [1, 0, 0]}'
+_PORTFOLIO_P1 = '{"kind": "portfolio_semideviation", "p": 1, "u": [1]}'
+_PORTFOLIO_M0 = '{"kind": "portfolio_semideviation", "m": 0, "u": []}'
+_PORTFOLIO_NAN = '{"kind": "portfolio_semideviation", "m": 2, "u": [NaN, 1]}'
+
+
+def _systemic(outer):
+    return json.dumps({"kind": "systemic", "outer": outer,
+                       "components": [{"kind": "higher_order"}]})
 
 
 @pytest.mark.parametrize("argv", [
@@ -327,17 +336,69 @@ _NO_ALLOCATION = '{"kind": "portfolio_semideviation", "m": 2}'
     ["simulate", "--measure", "ho", "--law", _LAWS],
     ["optimize", "--measure", "ho", "--law", _LAWS],
     ["estimate", "--measure", "ho", "--law", _LAWS],
+    ["simulate", "--measure", "msd", "--law", _LAW, "--n", "0"],
+    ["optimize", "--measure", "ho", "--law", _LAW, "--n", "0"],
+    ["compare", "--measure", "msd", "--law", _LAW, "--law2", _LAW, "--n", "0"],
+    ["systemic", "--measure", "sys", "--law", _LAWS, "--n", "0"],
+    ["estimate", "--measure", _systemic("linear"), "--law", _LAW],
+    ["estimate", "--measure", _PORTFOLIO, "--law", _LAWS],
+    ["estimate", "--measure", _PORTFOLIO_P1, "--law", _LAW],
+    ["estimate", "--measure", _PORTFOLIO_M0, "--law", _LAW],
+    ["estimate", "--measure", _systemic({"kind": "max"}), "--law", _LAW],
+    ["estimate", "--measure", _systemic({"kind": "linear", "kappa": 2}), "--law", _LAW],
+    ["estimate", "--measure",
+     _systemic({"kind": "mean_semideviation", "p": 0.5}), "--law", _LAW],
+    ["estimate", "--measure", '{"kind": "higher_order",', "--law", _LAW],
+    ["simulate", "--measure", "msd", "--law", _LAW, "--replications", "0"],
+    ["estimate", "--measure", _PORTFOLIO_NAN, "--law", _LAWS],
+    ["estimate", "--measure", "msd", "--law", _LAW, "--kernel", "uniform",
+     "--bandwidth", "power:-1,0.6"],
+    ["estimate", "--measure", "msd", "--law", _LAW, "--kernel", "uniform",
+     "--bandwidth", "power:1,-0.6"],
+    ["estimate", "--measure", "msd", "--law", _LAW, "--kernel", "uniform",
+     "--smooth-layers", "0"],
+    ["check-identity", "--kernel", "uniform", "--bandwidth", "silverman",
+     "--dimension", "0"],
+    ["check-identity", "--kernel", "uniform", "--bandwidth", "silverman",
+     "--order", "0.5"],
 ], ids=["power-bandwidth-arity", "unknown-bandwidth", "smooth-layers-text",
         "compare-product-law", "systemic-scalar-measure", "systemic-law-dimension",
         "optimize-scalar-chain", "estimate-weights-length",
         "systemic-weights-length", "smooth-layers-beyond-k+1", "zero-bins",
         "portfolio-without-allocation", "simulate-systemic-measure",
         "simulate-higher-order-product-law", "optimize-higher-order-product-law",
-        "estimate-higher-order-product-law"])
+        "estimate-higher-order-product-law", "simulate-n-0", "optimize-n-0",
+        "compare-n-0", "systemic-n-0", "outer-not-an-object",
+        "portfolio-allocation-length", "portfolio-p-1", "portfolio-m-0",
+        "unknown-outer-kind", "outer-kappa-2", "outer-p-below-1",
+        "inline-json-unparsed", "zero-replications", "portfolio-nan-allocation",
+        "negative-bandwidth-scale", "negative-bandwidth-exponent",
+        "smooth-layer-0", "kernel-dimension-0", "moment-order-below-1"])
 def test_config_error_paths_exit_2(argv, msd_json, ho_json, sys_json, capsys):
     paths = {"msd": msd_json, "ho": ho_json, "sys": sys_json}
     argv = [paths.get(a, a) for a in argv]
-    if argv[0] != "estimate":
+    if argv[0] not in ("estimate", "check-identity") and "--replications" not in argv:
         argv += ["--replications", "4"]
     assert run_cli(argv) == 2
-    assert capsys.readouterr().err.startswith("configuration error: ")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("configuration error: ")
+
+
+_ONE_COMPONENT = _systemic({"kind": "linear"})
+
+
+def test_one_component_systemic_on_a_scalar_law(ho_json, tmp_path, capsys):
+    # the coordinate law of a one-component systemic measure is the law itself
+    sys_out, sim = tmp_path / "sys.json", tmp_path / "sim.json"
+    assert run_cli(["estimate", "--measure", _ONE_COMPONENT,
+                    "--law", "normal:10,1.7"]) == 0       # --out '-': stdout
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["value"] == doc["components"][0]
+    study = ["--law", "normal:10,1.7", "--n", "50", "--replications", "8"]
+    assert run_cli(["systemic", "--measure", _ONE_COMPONENT, "--out", str(sys_out),
+                    "--limit-samples", "1000"] + study) == 0
+    assert run_cli(["simulate", "--measure", ho_json, "--out", str(sim)] + study) == 0
+    sdoc, simdoc = json.loads(sys_out.read_text()), json.loads(sim.read_text())
+    assert sdoc["exact_value"] == sdoc["exact_components"][0] == simdoc["exact_value"]
+    assert sdoc["mean"] == simdoc["mean"]

@@ -35,7 +35,7 @@ def test_validate_degenerate_k0():
 
 def test_exact_chain_point_mass():
     spec = nr.make_mean_semideviation(nr.MeasureParams(kappa=0.5, p=2.0))
-    oracle = nr.discrete_oracle([[3.0]], [1.0])
+    oracle = nr.QuadratureRule([[3.0]], [1.0])
     chain = nr.eval_exact_chain(spec, oracle)
     assert chain.value[0] == pytest.approx(3.0, abs=1e-14)
 
@@ -43,13 +43,13 @@ def test_exact_chain_point_mass():
 def test_exact_chain_two_point():
     # hand evaluation over the two atoms: E=1, inner=0.5, 1 + 0.5*sqrt(0.5)
     spec = nr.make_mean_semideviation(nr.MeasureParams(kappa=0.5, p=2.0))
-    chain = nr.eval_exact_chain(spec, nr.two_point_oracle(0.0, 2.0))
+    chain = nr.eval_exact_chain(spec, nr.TwoPoint(0.0, 2.0).oracle())
     assert chain.value[0] == pytest.approx(1.3535533905932737, abs=1e-14)
 
 
 def test_exact_chain_higher_order_objective_at_fixed_u():
     fam = nr.make_higher_order_family(nr.MeasureParams(c=20.0, p=2.0))
-    oracle = nr.normal_oracle(10.0, np.sqrt(3.0))
+    oracle = nr.Normal(10.0, np.sqrt(3.0)).oracle()
     chain = nr.eval_exact_chain(fam(14.5048), oracle)
     assert chain.value[0] == pytest.approx(15.5163, abs=1e-3)
 
@@ -62,7 +62,7 @@ def test_exact_chain_reports_nonfinite_layer():
 
     spec = CompositeSpec(DimSignature(1, 0, (1,)), (LayerFn(1, f1),))
     with pytest.raises(nr.EvaluationError) as err:
-        nr.eval_exact_chain(spec, nr.two_point_oracle(0.0, 1.0))
+        nr.eval_exact_chain(spec, nr.TwoPoint(0.0, 1.0).oracle())
     assert err.value.layer == 1
 
 
@@ -70,13 +70,13 @@ def test_exact_chain_rejects_an_oracle_of_another_dimension():
     # a two-dimensional product rule under a one-dimensional spec is
     # rejected, not read through its first column
     fam = nr.make_higher_order_family(nr.MeasureParams(c=20.0, p=2.0))
-    oracle = nr.product_oracle([nr.normal_oracle(10.0, np.sqrt(3.0), nodes=100),
-                                nr.normal_oracle(20.0, np.sqrt(5.0), nodes=100)])
+    oracle = nr.ProductLaw((nr.Normal(10.0, np.sqrt(3.0)),
+                            nr.Normal(20.0, np.sqrt(5.0)))).oracle(1000)
     with pytest.raises(nr.ConfigError, match="dimension 2"):
         nr.eval_exact_chain(fam(15.0), oracle)
     with pytest.raises(nr.ConfigError, match="dimension 2"):
         nr.exact_limit_variance(fam(15.0), oracle)
-    one = nr.normal_oracle(10.0, np.sqrt(3.0), nodes=100)
+    one = nr.Normal(10.0, np.sqrt(3.0)).oracle(100)
     chain = nr.eval_exact_chain(fam(15.0), one)
     with pytest.raises(nr.ConfigError, match="dimension 2"):
         nr.propagate_direction(fam(15.0), chain, oracle,
@@ -84,7 +84,7 @@ def test_exact_chain_rejects_an_oracle_of_another_dimension():
 
 
 def test_k0_chain_is_plain_mean():
-    oracle = nr.discrete_oracle([[1.0], [2.0], [6.0]], [0.25, 0.25, 0.5])
+    oracle = nr.QuadratureRule([[1.0], [2.0], [6.0]], [0.25, 0.25, 0.5])
     chain = nr.eval_exact_chain(mean_spec(), oracle)
     assert chain.value[0] == pytest.approx(0.25 * 1 + 0.25 * 2 + 0.5 * 6, abs=1e-15)
 
@@ -93,7 +93,7 @@ def test_sequential_nesting_equivalence_on_discrete_oracle():
     # exact chain with the empirical law as P equals the nested sums
     spec = nr.make_mean_semideviation(nr.MeasureParams(kappa=0.3, p=2.5))
     x = np.array([0.4, 1.7, 2.2, 3.9, 0.9])
-    oracle = nr.discrete_oracle(x[:, None], np.full(5, 0.2))
+    oracle = nr.QuadratureRule(x[:, None], np.full(5, 0.2))
     chain = nr.eval_exact_chain(spec, oracle)
     assert chain.value[0] == pytest.approx(nested_empirical(spec, x)[0], rel=1e-13)
 
@@ -102,7 +102,7 @@ def test_sequential_nesting_equivalence_on_discrete_oracle():
 
 def test_propagate_k0_base_case():
     spec = mean_spec()
-    oracle = nr.two_point_oracle(0.0, 1.0)
+    oracle = nr.TwoPoint(0.0, 1.0).oracle()
     chain = nr.eval_exact_chain(spec, oracle)
     xi = nr.propagate_direction(spec, chain, oracle, nr.Direction((np.array([2.5]),)))
     assert xi[0] == pytest.approx(2.5, abs=1e-15)
@@ -113,7 +113,7 @@ def test_propagate_linear_layers_matches_matrix_expansion():
     a1 = rng.normal(size=(2, 2))
     a2 = rng.normal(size=(2, 2))
     spec = linear_spec([a1, a2], m=1)
-    oracle = nr.two_point_oracle(0.0, 1.0)
+    oracle = nr.TwoPoint(0.0, 1.0).oracle()
     chain = nr.eval_exact_chain(spec, oracle)
     d1, d2, d3 = rng.normal(size=2), rng.normal(size=2), rng.normal(size=2)
     xi = nr.propagate_direction(spec, chain, oracle, nr.Direction((d1, d2, d3)))
@@ -126,7 +126,7 @@ def test_propagate_linear_in_direction():
     rng = np.random.default_rng(11)
     a1, a2 = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
     spec = linear_spec([a1, a2], m=1)
-    oracle = nr.two_point_oracle(0.0, 1.0)
+    oracle = nr.TwoPoint(0.0, 1.0).oracle()
     chain = nr.eval_exact_chain(spec, oracle)
     d = tuple(rng.normal(size=2) for _ in range(3))
     e = tuple(rng.normal(size=2) for _ in range(3))
@@ -140,7 +140,7 @@ def test_propagate_linear_in_direction():
 
 def test_propagate_rejects_malformed_directions():
     spec = linear_spec([np.eye(2), np.eye(2)], m=1)
-    oracle = nr.two_point_oracle(0.0, 1.0)
+    oracle = nr.TwoPoint(0.0, 1.0).oracle()
     chain = nr.eval_exact_chain(spec, oracle)
     two, three = np.ones(2), np.ones(3)
     for d, match in [((two, two), "3 entries"),
@@ -155,7 +155,7 @@ def test_propagate_inner_unit_direction_matches_finite_difference():
     # roughly E[J1] E[J2] eps; compare against that finite-difference oracle
     params = nr.MeasureParams(kappa=0.5, p=2.0)
     spec = nr.make_mean_semideviation(params)
-    oracle = nr.normal_oracle(10.0, np.sqrt(3.0))
+    oracle = nr.Normal(10.0, np.sqrt(3.0)).oracle()
     chain = nr.eval_exact_chain(spec, oracle)
     zero = np.zeros(1)
     xi = nr.propagate_direction(
@@ -180,7 +180,7 @@ def test_propagate_singular_gradient_raises_naming_the_layer():
     # u = 200 lies far beyond N(10, 3): E[(X - u)_+^2] = 0 and the gradient
     # of u + c * eta^(1/2) is singular, as exact_limit_variance reports
     spec = nr.make_higher_order_family(nr.MeasureParams(c=20.0, p=2.0))(200.0)
-    oracle = nr.normal_oracle(10.0, np.sqrt(3.0))
+    oracle = nr.Normal(10.0, np.sqrt(3.0)).oracle()
     chain = nr.eval_exact_chain(spec, oracle)
     with pytest.raises(nr.EvaluationError) as err:
         nr.propagate_direction(spec, chain, oracle,
@@ -197,7 +197,7 @@ def test_propagate_requires_jacobians_when_fd_disabled():
 
     spec = CompositeSpec(DimSignature(1, 1, (1, 1)),
                          (LayerFn(1, f1), LayerFn(2, f2)))
-    oracle = nr.two_point_oracle(0.0, 1.0)
+    oracle = nr.TwoPoint(0.0, 1.0).oracle()
     chain = nr.eval_exact_chain(spec, oracle)
     with pytest.raises(nr.EvaluationError):
         nr.propagate_direction(spec, chain, oracle,
@@ -269,3 +269,30 @@ def test_quadrature_rule_rejects_weights_that_are_not_a_law(weights):
     # a rule is the oracle: weights summing to 2 would double every mean
     with pytest.raises(nr.ConfigError):
         nr.QuadratureRule([[0.0], [2.0]], weights)
+
+
+def _raises_at_probe(eta, x):
+    raise ValueError("no value at the probe")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DimSignature(1, -1, ()),
+    lambda: CompositeSpec(DimSignature(1, 1, (1, 1)), (LayerFn(1, _raises_at_probe),)),
+    lambda: nr.QuadratureRule([[0.0], [1.0], [2.0]], [0.5, 0.5]),
+    lambda: nr.ProductLaw(()),
+    lambda: nr.sample(nr.SamplerConfig(nr.Normal(0.0, 1.0)), 0),
+], ids=["negative-depth", "layer-count", "rule-lengths", "empty-product-law",
+        "empty-sample"])
+def test_malformed_inputs_raise_config_error(build):
+    with pytest.raises(nr.ConfigError):
+        build()
+
+
+def test_validate_reports_a_layer_that_raises_at_the_probe():
+    spec = CompositeSpec(DimSignature(1, 1, (1, 1)),
+                         (LayerFn(1, _raises_at_probe), LayerFn(2, lambda x: x[:, 0])))
+    result = nr.validate_spec(spec)
+    assert not result.ok
+    (bad,) = result.mismatches
+    assert bad.pair == (0, 1) and bad.actual == -1
+    assert "no value at the probe" in bad.message

@@ -82,7 +82,7 @@ def test_nonfinite_layer_mean_names_the_layer_under_warnings_as_errors():
     x = np.array([1.0, -1.0])
     for run in (lambda: nr.estimate_empirical(signed_inf, nr.Sample(x)),
                 lambda: nr.eval_exact_chain(signed_inf,
-                                            nr.discrete_oracle(x, [0.5, 0.5]))):
+                                            nr.QuadratureRule(x[:, None], [0.5, 0.5]))):
         with pytest.raises(nr.EvaluationError) as err:
             run()
         assert (err.value.layer, err.value.sample_index) == (1, 0)
@@ -489,7 +489,7 @@ def test_estimator_consistency_rate_on_normal_law():
     # median |rho_hat - rho| over 200 seeded replications should shrink by
     # at least 2.5x per decade of n (root-n rate gives ~3.16x)
     spec = msd()
-    oracle = nr.normal_oracle(10.0, np.sqrt(3.0))
+    oracle = nr.Normal(10.0, np.sqrt(3.0)).oracle()
     exact = nr.eval_exact_chain(spec, oracle).value[0]
     law = nr.Normal(10.0, np.sqrt(3.0))
     medians = []

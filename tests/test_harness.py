@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -61,6 +59,9 @@ def test_law_validation():
         nr.Uniform(2.0, 2.0)
     with pytest.raises(nr.ConfigError):
         nr.TwoPoint(0.0, 1.0, 1.0)
+    inner = nr.ProductLaw((nr.Normal(0.0, 1.0), nr.Uniform(0.0, 1.0)))
+    with pytest.raises(nr.ConfigError, match="one-dimensional"):
+        nr.ProductLaw((inner, nr.Normal(0.0, 1.0)))
 
 
 def test_parse_law():
@@ -191,9 +192,7 @@ def test_histogram_csv_columns():
     rng = np.random.default_rng(3)
     tab = _toy_table(rng.normal(size=500))
     out = nr.summarize_distribution(tab, nr.Reference(0.0, 1.0), bins=12)
-    buf = io.StringIO()
-    out.histogram.to_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
+    lines = out.histogram.to_csv().strip().split("\n")
     assert lines[0] == "bin_left,bin_right,density,reference_density"
     assert len(lines) == 13
 
@@ -219,7 +218,7 @@ def test_tracked_bias_reduction_of_kernel_smoothing(capsys):
     values are printed for inspection, only sanity is asserted (no margin is
     guaranteed)."""
     fam = nr.make_higher_order_family(nr.MeasureParams(c=20.0, p=2.0))
-    orc = nr.normal_oracle(10.0, SQ3)
+    orc = nr.Normal(10.0, SQ3).oracle()
     prob = nr.ScalarProblem(fam, (4.0, 31.0), "exact-oracle", oracle=orc)
     theta = nr.minimize_scalar(prob).theta
     law = nr.Normal(10.0, SQ3)

@@ -13,23 +13,23 @@ SQ5 = np.sqrt(5.0)
 
 def test_kappa_zero_reduces_to_expectation():
     spec = nr.make_mean_semideviation(nr.MeasureParams(kappa=0.0, p=2.0))
-    for oracle, mean in [(nr.two_point_oracle(0.0, 2.0), 1.0),
-                         (nr.normal_oracle(7.0, 2.0), 7.0),
-                         (nr.uniform_oracle(0.0, 4.0), 2.0)]:
+    for oracle, mean in [(nr.TwoPoint(0.0, 2.0).oracle(), 1.0),
+                         (nr.Normal(7.0, 2.0).oracle(), 7.0),
+                         (nr.Uniform(0.0, 4.0).oracle(), 2.0)]:
         assert nr.eval_exact_chain(spec, oracle).value[0] == pytest.approx(
             mean, abs=1e-9)
 
 
 def test_two_point_value():
     spec = nr.make_mean_semideviation(nr.MeasureParams(kappa=0.5, p=2.0))
-    value = nr.eval_exact_chain(spec, nr.two_point_oracle(0.0, 2.0)).value[0]
+    value = nr.eval_exact_chain(spec, nr.TwoPoint(0.0, 2.0).oracle()).value[0]
     assert value == pytest.approx(1.3535533905932737, abs=1e-14)
 
 
 def test_half_normal_second_moment():
     # kappa=1, p=2 on N(0,1): sqrt(E[max(0,-X)^2]) = sqrt(1/2)
     spec = nr.make_mean_semideviation(nr.MeasureParams(kappa=1.0, p=2.0))
-    value = nr.eval_exact_chain(spec, nr.normal_oracle(0.0, 1.0)).value[0]
+    value = nr.eval_exact_chain(spec, nr.Normal(0.0, 1.0).oracle()).value[0]
     assert value == pytest.approx(0.7071067811865476, abs=1e-8)
 
 
@@ -54,7 +54,7 @@ def test_params_validation():
 def _discrete(xs, ws=None):
     xs = np.asarray(xs, dtype=float)
     ws = np.full(len(xs), 1.0 / len(xs)) if ws is None else np.asarray(ws)
-    return nr.discrete_oracle(xs[:, None], ws)
+    return nr.QuadratureRule(xs[:, None], ws)
 
 
 def test_translation_property():
@@ -89,7 +89,7 @@ def test_kappa_monotonicity():
 
 def test_higher_order_point_mass():
     fam = nr.make_higher_order_family(nr.MeasureParams(c=3.0, p=2.0))
-    oracle = nr.discrete_oracle([[4.0]], [1.0])
+    oracle = nr.QuadratureRule([[4.0]], [1.0])
     assert nr.eval_exact_chain(fam(4.0), oracle).value[0] == pytest.approx(4.0)
 
 
@@ -97,7 +97,7 @@ def test_higher_order_uniform_objective():
     # analytic: inner = (1-u)^3/3, objective u + 2 sqrt((1-u)^3/3); at u=2/3
     # the value is 8/9
     fam = nr.make_higher_order_family(nr.MeasureParams(c=2.0, p=2.0))
-    oracle = nr.uniform_oracle(0.0, 1.0)
+    oracle = nr.Uniform(0.0, 1.0).oracle()
     assert nr.eval_exact_chain(fam(2.0 / 3.0), oracle).value[0] == pytest.approx(
         8.0 / 9.0, abs=1e-9)
 
@@ -119,7 +119,7 @@ def test_higher_order_p1_routes_to_single_layer():
     spec = fam(1.0)
     assert spec.k == 0
     # u + c E[(X-u)_+] on the two-point law {0, 2}: 1 + 4*0.5*1 = 3
-    val = nr.eval_exact_chain(spec, nr.two_point_oracle(0.0, 2.0)).value[0]
+    val = nr.eval_exact_chain(spec, nr.TwoPoint(0.0, 2.0).oracle()).value[0]
     assert val == pytest.approx(1.0 + 4.0 * 0.5 * 1.0)
 
 
@@ -138,9 +138,9 @@ def test_portfolio_scalar_reduction_sign_convention():
     kappa, p = 0.5, 2.0
     fam = nr.make_portfolio_semideviation(nr.MeasureParams(kappa=kappa, p=p), 1)
     port = nr.eval_exact_chain(fam(np.array([-1.0])),
-                               nr.two_point_oracle(0.0, 2.0)).value[0]
+                               nr.TwoPoint(0.0, 2.0).oracle()).value[0]
     scalar = nr.make_mean_semideviation(nr.MeasureParams(kappa=kappa, p=p))
-    neg = nr.eval_exact_chain(scalar, nr.two_point_oracle(0.0, -2.0)).value[0]
+    neg = nr.eval_exact_chain(scalar, nr.TwoPoint(0.0, -2.0).oracle()).value[0]
     assert port == pytest.approx(neg + 2 * 1.0, abs=1e-12)
 
 
@@ -150,10 +150,9 @@ def test_portfolio_equal_weights_matches_aggregated_normal():
     kappa, p = 0.5, 2.0
     fam = nr.make_portfolio_semideviation(nr.MeasureParams(kappa=kappa, p=p), 2)
     u = np.array([0.5, 0.5])
-    oracle2 = nr.product_oracle([nr.normal_oracle(10.0, SQ3, nodes=400),
-                                 nr.normal_oracle(10.0, SQ3, nodes=400)])
+    oracle2 = nr.ProductLaw((nr.Normal(10.0, SQ3), nr.Normal(10.0, SQ3))).oracle(4000)
     port = nr.eval_exact_chain(fam(u), oracle2).value[0]
-    agg = nr.normal_oracle(10.0, np.sqrt(1.5))
+    agg = nr.Normal(10.0, np.sqrt(1.5)).oracle()
     scalar = nr.make_mean_semideviation(nr.MeasureParams(kappa=kappa, p=p))
     expected = nr.eval_exact_chain(scalar, agg).value[0] - 2 * 10.0
     assert port == pytest.approx(expected, abs=1e-6)
@@ -233,8 +232,7 @@ def test_identity_padding_neutrality():
 def test_stacked_exact_limit_covariance_block_diagonal_for_independent():
     msd_spec = nr.make_mean_semideviation(nr.MeasureParams(kappa=0.5, p=2.0))
     stacked = nr.stack_specs([msd_spec, msd_spec])
-    oracle = nr.product_oracle([nr.normal_oracle(10.0, SQ3, nodes=300),
-                                nr.normal_oracle(10.0, SQ3, nodes=300)])
+    oracle = nr.ProductLaw((nr.Normal(10.0, SQ3), nr.Normal(10.0, SQ3))).oracle(3000)
     cov = exact_limit_variance(stacked, oracle)
     assert cov.shape == (2, 2)
     assert cov[0, 0] == pytest.approx(cov[1, 1], rel=1e-10)
@@ -272,12 +270,16 @@ def test_systemic_limit_matches_delta_method_gradient():
     assert abs(lim.variance / expected - 1.0) < 0.05
 
 
-@pytest.mark.parametrize("cov, samples", [(np.eye(2), 0), (np.eye(3), 100)],
-                         ids=["no-samples", "wrong-shape"])
-def test_systemic_limit_rejects_bad_inputs(cov, samples):
+@pytest.mark.parametrize("outer, cov, samples, value", [
+    (outer_msd(), np.eye(2), 0, [1.0, 2.0]),
+    (outer_msd(), np.eye(3), 100, [1.0, 2.0]),
+    (outer_msd(), np.eye(2), 100, [1.0, 2.0, 3.0]),
+    # the linear outer never reads the risk vector, but it must be one
+    (nr.OuterAggregation("linear"), np.eye(2), 100, None),
+], ids=["no-samples", "wrong-shape", "wrong-value-length", "linear-without-value"])
+def test_systemic_limit_rejects_bad_inputs(outer, cov, samples, value):
     with pytest.raises(nr.ConfigError):
-        nr.systemic_limit(_sys_spec(outer_msd()), cov, np.array([1.0, 2.0]),
-                          samples, seed=1)
+        nr.systemic_limit(_sys_spec(outer), cov, value, samples, seed=1)
 
 
 def test_systemic_limit_rejects_non_psd():

@@ -17,7 +17,7 @@ def ho_family(c=20.0, p=2.0):
 
 
 def exact_problem(mean, std, c=20.0, p=2.0, bracket=None):
-    orc = nr.normal_oracle(mean, std)
+    orc = nr.Normal(mean, std).oracle()
     br = bracket or (mean - 6 * std, mean + 12 * std)
     return nr.ScalarProblem(ho_family(c, p), br, "exact-oracle", oracle=orc)
 
@@ -26,7 +26,7 @@ def exact_problem(mean, std, c=20.0, p=2.0, bracket=None):
 
 def test_point_mass_kink_minimum():
     fam = ho_family(c=3.0, p=2.0)
-    orc = nr.discrete_oracle([[5.0]], [1.0])
+    orc = nr.QuadratureRule([[5.0]], [1.0])
     prob = nr.ScalarProblem(fam, (0.0, 10.0), "exact-oracle", oracle=orc)
     rep = nr.minimize_scalar(prob, tol=1e-10)
     assert rep.u_hat == pytest.approx(5.0, abs=1e-6)
@@ -36,7 +36,7 @@ def test_point_mass_kink_minimum():
 def test_uniform_law_analytic_optimum():
     # first-order condition: (1-u)^(1/2) = 1/sqrt(3) so u = 2/3, theta = 8/9
     fam = ho_family(c=2.0, p=2.0)
-    orc = nr.uniform_oracle(0.0, 1.0)
+    orc = nr.Uniform(0.0, 1.0).oracle()
     prob = nr.ScalarProblem(fam, (0.0, 1.0), "exact-oracle", oracle=orc)
     rep = nr.minimize_scalar(prob)
     assert rep.u_hat == pytest.approx(2.0 / 3.0, abs=1e-6)
@@ -62,7 +62,7 @@ def test_solver_never_above_grid_minimum():
 def test_boundary_optimum_flagged():
     # increasing objective on the bracket: minimum at the left endpoint
     fam = ho_family(c=2.0, p=2.0)
-    orc = nr.discrete_oracle([[0.0]], [1.0])
+    orc = nr.QuadratureRule([[0.0]], [1.0])
     prob = nr.ScalarProblem(fam, (2.0, 8.0), "exact-oracle", oracle=orc)
     rep = nr.minimize_scalar(prob)
     assert rep.boundary
@@ -76,7 +76,7 @@ def test_nonfinite_objective_raises():
                              (LayerFn(1, lambda x: np.full(x.shape[0], np.inf)),))
 
     prob = nr.ScalarProblem(bad_family, (0.0, 1.0), "exact-oracle",
-                            oracle=nr.two_point_oracle(0.0, 1.0))
+                            oracle=nr.TwoPoint(0.0, 1.0).oracle())
     with pytest.raises(nr.EvaluationError):
         nr.minimize_scalar(prob)
 
@@ -85,7 +85,7 @@ def test_problem_validation():
     fam = ho_family()
     with pytest.raises(nr.ConfigError):
         nr.ScalarProblem(fam, (1.0, 1.0), "exact-oracle",
-                         oracle=nr.two_point_oracle(0.0, 1.0))
+                         oracle=nr.TwoPoint(0.0, 1.0).oracle())
     with pytest.raises(nr.ConfigError):
         nr.ScalarProblem(fam, (0.0, 1.0), "exact-oracle")
     with pytest.raises(nr.ConfigError):
@@ -425,7 +425,7 @@ def test_undispatched_problems_ignore_the_declaration(case):
     for family in (fam, without_tail_objective(fam)):
         if case == "exact":
             prob = nr.ScalarProblem(family, (10 - 6 * SQ3, 10 + 12 * SQ3),
-                                    "exact-oracle", oracle=nr.normal_oracle(10.0, SQ3))
+                                    "exact-oracle", oracle=nr.Normal(10.0, SQ3).oracle())
         elif case == "empirical":
             prob = nr.ScalarProblem(family, nr.default_bracket(s, 20.0),
                                     "empirical-sample", sample=s)
