@@ -6,13 +6,10 @@ plug-in estimators, computing delta-method limit covariances and confidence
 intervals, and validating the normal limits by seeded Monte Carlo.
 """
 
-from .asymptotics import (AsymptoticReport, ChainMatrices, SigmaEstimate,
-                          asymptotic_report, chain_matrices,
-                          confidence_interval, exact_limit_variance,
-                          limit_variance, plugin_sigma, propagate_direction)
-from .core import (CompositeSpec, DimSignature, Direction, EtaChain,
-                   LayerFn, PowerMaxForm, QuadratureRule,
-                   ValidationResult, eval_exact_chain, validate_spec)
+from .asymptotics import (AsymptoticReport, asymptotic_report, confidence_interval,
+                          exact_limit_variance, propagate_direction)
+from .core import (CompositeSpec, DimSignature, EtaChain, LayerFn, PowerMaxForm,
+                   QuadratureRule, ValidationResult, eval_exact_chain, validate_spec)
 from .errors import ConfigError, EvaluationError
 from .estimators import (BandwidthSchedule, EstimateReport, IdentityCheck,
                          KernelSpec, Sample, SmoothingPlan, bandwidth,

@@ -7,56 +7,28 @@ chain into matrices C_r, and in the differentiable case
     sqrt(n) (rho_hat - rho)  ->  N(0, C^T Sigma_g C),
 
 with C^T = (I, C_1^T, ..., C_k^T) and C_r^T the product of the first r
-expected Jacobians. Both are taken over a point set: a sample, at its
-own plug-in chain point, or a law's quadrature rule, at the exact chain.
+expected Jacobians. ``_limit_cov`` forms it, over a point set: a sample,
+at its own plug-in chain point, or a law's quadrature rule, at the exact
+chain. The variance of a mixed-plan optimal value, with a kernel-smoothed
+inner mean and covariance, is taken here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
 
-from .core import (CompositeSpec, Direction, EtaChain, QuadratureRule, _chain,
-                   _check_points, _eval_layer, layer_jacobian)
+from .core import (CompositeSpec, EtaChain, QuadratureRule, _chain, _check_points,
+                   _eval_layer, layer_jacobian)
 from .errors import ConfigError, EvaluationError
-from .estimators import EstimateReport, Sample
+from .estimators import (EstimateReport, Sample, SmoothingPlan, _smoothed_layer_mean,
+                         bandwidth)
 
 # Eigenvalues of Sigma_hat in (-PSD_TOL * trace, 0) are treated as roundoff
 # and clipped to zero; anything lower is an error.
 PSD_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SigmaEstimate:
-    """Plug-in covariance of the stacked per-layer evaluations.
-
-    ``full`` is the symmetric PSD matrix of size M x M; the coordinates of
-    layer j are ``offsets[j-1]:offsets[j]``.
-    """
-
-    full: np.ndarray
-    offsets: tuple[int, ...]
-
-    def block(self, a: int, b: int) -> np.ndarray:
-        """Block for layer pair (a, b), 1-based."""
-        o = self.offsets
-        return self.full[o[a - 1]:o[a], o[b - 1]:o[b]]
-
-
-@dataclass(frozen=True)
-class ChainMatrices:
-    """Expected layer Jacobians and their running products.
-
-    ``C_r_T[r-1]`` is C_r^T = E[J_1] ... E[J_r] (shape m0 x m_r);
-    ``stacked`` is C^T = (I, C_1^T, ..., C_k^T), shape m0 x M, ordered to
-    match the Sigma block layout.
-    """
-
-    jacobian_means: tuple[np.ndarray, ...]
-    C_r_T: tuple[np.ndarray, ...]
-    stacked: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -121,24 +93,9 @@ def _sigma(spec: CompositeSpec, x: np.ndarray, chain: EtaChain,
     return full
 
 
-def plugin_sigma(spec: CompositeSpec, sample: Sample, chain: EtaChain) -> SigmaEstimate:
-    """Plug-in estimate of the stacked-evaluation covariance Sigma_g.
-
-    Block (a, b) is the sample covariance (1/n convention) between the
-    layer-a and layer-b evaluations, each at the plug-in chain point;
-    ``full`` is checked and clipped as described in ``_sigma``.
-    """
-    if sample.n < 2:
-        raise ConfigError("covariance needs at least two observations")
-    offsets = np.concatenate([[0], np.cumsum(spec.signature.dims)])
-    return SigmaEstimate(_sigma(spec, sample.data, chain),
-                         tuple(int(o) for o in offsets))
-
-
-def _chain_products(spec: CompositeSpec, chain: EtaChain, x: np.ndarray,
-                    weights: np.ndarray | None = None, *,
-                    fd_fallback: bool = True) -> ChainMatrices:
-    """Expected layer Jacobians at the chain point and the products C_r^T.
+def _jacobian_means(spec: CompositeSpec, chain: EtaChain, x: np.ndarray,
+                    weights: np.ndarray | None = None) -> list[np.ndarray]:
+    """Expected layer Jacobians E[J_1], ..., E[J_k] at the chain point.
 
     The expectation is the mean over the rows of x, or the quadrature sum
     with ``weights``. A non-finite expectation (a singular gradient, such as
@@ -146,14 +103,10 @@ def _chain_products(spec: CompositeSpec, chain: EtaChain, x: np.ndarray,
     warnings are silenced while evaluating, so this check is the one report.
     """
     _check_points(spec, x)
-    m0 = spec.signature.m0
     jmeans: list[np.ndarray] = []
-    crs: list[np.ndarray] = []
-    running = np.eye(m0)
     for j in range(1, spec.k + 1):
         with np.errstate(all="ignore"):
-            jac = layer_jacobian(spec, j, chain.input_for(j), x,
-                                 fd_fallback=fd_fallback)
+            jac = layer_jacobian(spec, j, chain.input_for(j), x)
             jmean = jac.mean(axis=0) if weights is None \
                 else np.tensordot(weights, jac, axes=1)
         if not np.all(np.isfinite(jmean)):
@@ -161,30 +114,23 @@ def _chain_products(spec: CompositeSpec, chain: EtaChain, x: np.ndarray,
                 "expected Jacobian is non-finite at the chain point "
                 "(singular gradient)", layer=j)
         jmeans.append(jmean)
+    return jmeans
+
+
+def _limit_cov(spec: CompositeSpec, x: np.ndarray, chain: EtaChain,
+               weights: np.ndarray | None = None) -> np.ndarray:
+    """Limit covariance C^T Sigma_g C over the point set x at the chain
+    point, with C^T = (I, C_1^T, ..., C_k^T) and C_r^T = E[J_1] ... E[J_r].
+
+    Raises EvaluationError naming the layer whose expected Jacobian, or
+    else whose variance, is non-finite."""
+    running = np.eye(spec.signature.m0)
+    blocks = [running]
+    for jmean in _jacobian_means(spec, chain, x, weights):
         running = running @ jmean
-        crs.append(running)
-    stacked = np.concatenate([np.eye(m0)] + crs, axis=1)
-    return ChainMatrices(tuple(jmeans), tuple(crs), stacked)
-
-
-def chain_matrices(spec: CompositeSpec, sample: Sample, chain: EtaChain,
-                   *, fd_fallback: bool = True) -> ChainMatrices:
-    """Sample means of layer Jacobians and the chain products C_r^T.
-
-    Raises EvaluationError naming the layer whose mean Jacobian is
-    non-finite."""
-    return _chain_products(spec, chain, sample.data, fd_fallback=fd_fallback)
-
-
-def limit_variance(sigma: SigmaEstimate, chains: ChainMatrices) -> np.ndarray:
-    """Limit covariance C^T Sigma_g C. A contrast w has the limit variance
-    ``w @ cov @ w``."""
-    ct = chains.stacked
-    if ct.shape[1] != sigma.full.shape[0]:
-        raise ConfigError(
-            f"chain matrix width {ct.shape[1]} does not match Sigma size "
-            f"{sigma.full.shape[0]}")
-    cov = ct @ sigma.full @ ct.T
+        blocks.append(running)
+    ct = np.concatenate(blocks, axis=1)
+    cov = ct @ _sigma(spec, x, chain, weights) @ ct.T
     return 0.5 * (cov + cov.T)
 
 
@@ -193,6 +139,8 @@ def confidence_interval(value, limit_cov, n: int, level: float):
     value_i -+ z_{1-alpha/2} sqrt(limit_cov_ii / n)."""
     if not 0.0 < level < 1.0:
         raise ConfigError("confidence level must lie in (0, 1)")
+    if n < 1:
+        raise ConfigError(f"sample size n must be >= 1, got {n}")
     z = float(ndtri(0.5 + level / 2.0))
     value = np.asarray(value, dtype=float).reshape(-1)
     variances = np.diag(np.atleast_2d(limit_cov))
@@ -204,42 +152,38 @@ def confidence_interval(value, limit_cov, n: int, level: float):
 
 def exact_limit_variance(spec: CompositeSpec,
                          oracle: QuadratureRule | None) -> np.ndarray:
-    """Limit covariance C^T Sigma_g C with Sigma_g and the chain matrices
-    computed by the oracle's quadrature at the exact chain (reference values
-    for simulations).
+    """Limit covariance C^T Sigma_g C over the oracle's quadrature rule at
+    the exact chain (reference values for simulations).
 
     Raises EvaluationError naming the layer whose expected Jacobian, or
     else whose variance, is non-finite."""
     if oracle is None:
         raise ConfigError("exact_limit_variance needs a quadrature oracle")
     x, w = oracle.nodes, oracle.weights
-    chain = _chain(spec, x, w)
-    ct = _chain_products(spec, chain, x, w).stacked
-    cov = ct @ _sigma(spec, x, chain, w) @ ct.T
-    return 0.5 * (cov + cov.T)
+    return _limit_cov(spec, x, _chain(spec, x, w), w)
 
 
 def propagate_direction(spec: CompositeSpec, chain: EtaChain,
-                        oracle: QuadratureRule, direction: Direction,
-                        *, fd_fallback: bool = False) -> np.ndarray:
-    """Propagate a perturbation direction through the composition.
+                        oracle: QuadratureRule, direction) -> np.ndarray:
+    """Propagate a perturbation direction d = (d_1, ..., d_{k+1}) through
+    the composition.
 
-    Computes xi_1(d) by the backward recursion xi_{k+1} = d_{k+1},
+    Entries for j <= k may be callables eta -> vector or constant vectors;
+    the last entry is a constant vector of dimension m_k. Computes xi_1(d)
+    by the backward recursion xi_{k+1} = d_{k+1},
     xi_j = E[J_j(eta_{j+1}, X)] xi_{j+1} + d_j(eta_{j+1}), with the
-    expected Jacobians of the chain matrices under the oracle; in the
-    differentiable case this is the chain-matrix linearization of the
-    composite at the exact chain point.
+    expected Jacobians under the oracle; in the differentiable case this is
+    the chain-matrix linearization of the composite at the chain point.
     """
-    if len(direction.d) != spec.k + 1:
+    if len(direction) != spec.k + 1:
         raise ConfigError(f"direction must have {spec.k + 1} entries")
-    xi = np.asarray(direction.d[-1], dtype=float).reshape(-1)
+    xi = np.asarray(direction[-1], dtype=float).reshape(-1)
     if xi.shape[0] != spec.signature.dims[-1]:
         raise ConfigError("d_{k+1} has wrong dimension")
-    jmeans = _chain_products(spec, chain, oracle.nodes, oracle.weights,
-                             fd_fallback=fd_fallback).jacobian_means
+    jmeans = _jacobian_means(spec, chain, oracle.nodes, oracle.weights)
     for j in range(spec.k, 0, -1):
         eta_in = chain.input_for(j)
-        dj = direction.d[j - 1]
+        dj = direction[j - 1]
         dj_val = np.asarray(dj(eta_in) if callable(dj) else dj, dtype=float).reshape(-1)
         if dj_val.shape[0] != spec.signature.dims[j - 1]:
             raise ConfigError(f"direction entry {j} has wrong dimension")
@@ -250,10 +194,39 @@ def propagate_direction(spec: CompositeSpec, chain: EtaChain,
 def asymptotic_report(spec: CompositeSpec, sample: Sample,
                       estimate: EstimateReport, *,
                       level: float | None = None) -> AsymptoticReport:
-    """Limit covariance and intervals of a plug-in estimate, from Sigma and
-    the chain matrices at the estimate's own chain."""
-    sigma = plugin_sigma(spec, sample, estimate.chain)
-    cov = limit_variance(sigma, chain_matrices(spec, sample, estimate.chain))
+    """Limit covariance and intervals of a plug-in estimate: C^T Sigma_g C
+    over the sample (1/n covariance) at the estimate's own chain."""
+    if sample.n < 2:
+        raise ConfigError("covariance needs at least two observations")
+    cov = _limit_cov(spec, sample.data, estimate.chain)
     intervals = None if level is None \
         else confidence_interval(estimate.value, cov, sample.n, level)
     return AsymptoticReport(cov, intervals)
+
+
+def _mixed_plan_variance(spec: CompositeSpec, sample: Sample,
+                         plan: SmoothingPlan) -> float:
+    """Delta-method variance of a mixed-plan optimal value, grad^T Cov grad,
+    with the kernel-smoothed inner mean and covariance.
+
+    The second moment is the smoothed mean of the inner layer's outer
+    product, itself a layer; a power-max layer squared is a power-max layer
+    at 2p, so both moments take the same dispatch in _smoothed_layer_mean.
+    """
+    h = bandwidth(plan.schedule, sample.n, sample.std_scale())
+    inner = spec.layer(2)
+
+    def outer(x):
+        v = _eval_layer(spec, 2, None, x)
+        return (v[:, :, None] * v[:, None, :]).reshape(x.shape[0], -1)
+
+    pm = inner.powermax
+    squared = replace(inner, evaluator=outer, powermax=None if pm is None
+                      else replace(pm, power=2.0 * pm.power))
+    mean = _smoothed_layer_mean(spec, 2, None, sample, plan, h)
+    second = _smoothed_layer_mean(replace(spec, layers=(spec.layer(1), squared)),
+                                  2, None, sample, plan, h)
+    cov = second.reshape(mean.size, mean.size) - np.outer(mean, mean)
+    # the gradient reads only eta_2 from the chain
+    g = _jacobian_means(spec, EtaChain((mean, None)), sample.data)[0]
+    return float((g @ cov @ g.T)[0, 0])

@@ -174,17 +174,6 @@ class EtaChain:
 
 
 @dataclass(frozen=True)
-class Direction:
-    """Perturbation direction d = (d_1, ..., d_{k+1}).
-
-    Entries for j <= k may be callables eta -> vector or constant vectors;
-    the last entry is a constant vector of dimension m_k.
-    """
-
-    d: tuple
-
-
-@dataclass(frozen=True)
 class DimMismatch:
     pair: tuple[int, int]
     expected: int
@@ -305,7 +294,7 @@ def eval_exact_chain(spec: CompositeSpec, oracle: QuadratureRule) -> EtaChain:
 
 
 def layer_jacobian(spec: CompositeSpec, j: int, eta: np.ndarray,
-                   x: np.ndarray, *, fd_fallback: bool = True) -> np.ndarray:
+                   x: np.ndarray) -> np.ndarray:
     """Jacobian of layer j with respect to eta, shape (n, out, eta_dim).
 
     Uses the declared ``jacobian_eta`` when present, otherwise central finite
@@ -318,9 +307,6 @@ def layer_jacobian(spec: CompositeSpec, j: int, eta: np.ndarray,
         out_dim, eta_dim = spec.signature.dims[j - 1], spec.signature.dims[j]
         return np.broadcast_to(jac, (n, out_dim, eta_dim)).copy() \
             if jac.shape != (n, out_dim, eta_dim) else jac
-    if not fd_fallback:
-        raise EvaluationError("missing jacobian_eta and finite differences disabled",
-                              layer=j)
     eta = np.asarray(eta, dtype=float)
     out_dim, eta_dim = spec.signature.dims[j - 1], spec.signature.dims[j]
     jac = np.empty((x.shape[0], out_dim, eta_dim))

@@ -490,6 +490,8 @@ def parse_measure(doc) -> MeasureConfig:
             if weights is None:
                 weights = [1.0 / len(comps)] * len(comps)
             params = MeasureParams(weights=tuple(float(w) for w in weights))
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid measure parameters: {exc}") from exc
     # only the systemic branch gets here: its weights-length error is not

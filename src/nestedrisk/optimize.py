@@ -12,17 +12,16 @@ for a mixed plan, with the inner mean and covariance smoothed by the plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .asymptotics import asymptotic_report, chain_matrices, exact_limit_variance
-from .core import CompositeSpec, EtaChain, QuadratureRule, _chain, _eval_layer
+from .asymptotics import _mixed_plan_variance, asymptotic_report, exact_limit_variance
+from .core import CompositeSpec, QuadratureRule, _chain
 from .errors import ConfigError, EvaluationError
 from .estimators import (Sample, SmoothingPlan, _check_plan, _powermax_uniform_mean,
-                         _require_valid, _smoothed_layer_mean, _smoother, bandwidth,
-                         estimate_empirical)
+                         _require_valid, _smoother, bandwidth, estimate_empirical)
 from .measures import stack_specs
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -279,34 +278,6 @@ def _solve_sorted_tail(xs: np.ndarray, c: float, p: float, h: float,
     return u_best, f_best, steps
 
 
-def _mixed_plan_variance(spec: CompositeSpec, sample: Sample,
-                         plan: SmoothingPlan) -> float:
-    """Delta-method variance of a mixed-plan optimal value, grad^T Cov grad,
-    with the kernel-smoothed inner mean and covariance.
-
-    The second moment is the smoothed mean of the inner layer's outer
-    product, itself a layer; a power-max layer squared is a power-max layer
-    at 2p, so both moments take the same dispatch in _smoothed_layer_mean.
-    """
-    h = bandwidth(plan.schedule, sample.n, sample.std_scale())
-    inner = spec.layer(2)
-
-    def outer(x):
-        v = _eval_layer(spec, 2, None, x)
-        return (v[:, :, None] * v[:, None, :]).reshape(x.shape[0], -1)
-
-    pm = inner.powermax
-    squared = replace(inner, evaluator=outer, powermax=None if pm is None
-                      else replace(pm, power=2.0 * pm.power))
-    mean = _smoothed_layer_mean(spec, 2, None, sample, plan, h)
-    second = _smoothed_layer_mean(replace(spec, layers=(spec.layer(1), squared)),
-                                  2, None, sample, plan, h)
-    cov = second.reshape(mean.size, mean.size) - np.outer(mean, mean)
-    # the gradient reads only eta_2 from the chain
-    g = chain_matrices(spec, sample, EtaChain((mean, None))).C_r_T[0]
-    return float((g @ cov @ g.T)[0, 0])
-
-
 def optimal_value_clt_variance(problem: ScalarProblem, sample: Sample | None,
                                u_hat: float) -> float:
     """Delta-method variance of the optimal-value estimator at u_hat.
@@ -347,6 +318,8 @@ def optimal_value_limit_covariance(problems, u_hats, *, samples=None) -> np.ndar
 
     if samples is None or isinstance(samples, (list, tuple)):
         per = list(samples) if samples is not None else [None] * len(problems)
+        if len(per) != len(problems):
+            raise ConfigError("one sample per problem is required")
         return np.diag([optimal_value_clt_variance(pb, sp, u)
                         for pb, u, sp in zip(problems, u_hats, per)])
 

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nestedrisk as nr
-from nestedrisk.asymptotics import SigmaEstimate, exact_limit_variance
-from nestedrisk.core import CompositeSpec, DimSignature, LayerFn
+from nestedrisk.asymptotics import (_jacobian_means, _limit_cov, _sigma,
+                                    exact_limit_variance)
+from nestedrisk.core import CompositeSpec, DimSignature, LayerFn, _eval_layer
 from nestedrisk._rng import derive_seed
 
 from naive import linear_spec, mean_spec, stacked_covariance
@@ -14,22 +15,20 @@ def msd(kappa=0.5, p=2.0):
     return nr.make_mean_semideviation(nr.MeasureParams(kappa=kappa, p=p))
 
 
-# --- plugin_sigma ---------------------------------------------------------------
+# --- _sigma: the stacked-evaluation covariance ----------------------------------
 
 def test_sigma_constant_sample_is_zero():
     s = nr.Sample(np.full(10, 4.0))
     spec = msd()
     est = nr.estimate_empirical(spec, s)
-    sig = nr.plugin_sigma(spec, s, est.chain)
-    np.testing.assert_allclose(sig.full, 0.0, atol=1e-14)
+    np.testing.assert_allclose(_sigma(spec, s.data, est.chain), 0.0, atol=1e-14)
 
 
 def test_sigma_k0_population_variance():
     s = nr.Sample(np.array([1.0, 2.0, 3.0]))
     spec = mean_spec()
     est = nr.estimate_empirical(spec, s)
-    sig = nr.plugin_sigma(spec, s, est.chain)
-    assert sig.full[0, 0] == pytest.approx(2.0 / 3.0, rel=1e-14)
+    assert _sigma(spec, s.data, est.chain)[0, 0] == pytest.approx(2.0 / 3.0, rel=1e-14)
 
 
 def test_sigma_matches_bruteforce_stacking():
@@ -38,9 +37,9 @@ def test_sigma_matches_bruteforce_stacking():
     spec = msd(0.7, 2.0)
     s = nr.Sample(x)
     est = nr.estimate_empirical(spec, s)
-    sig = nr.plugin_sigma(spec, s, est.chain)
     naive = stacked_covariance(spec, x, est.chain)
-    np.testing.assert_allclose(sig.full, naive, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(_sigma(spec, s.data, est.chain), naive,
+                               rtol=1e-12, atol=1e-14)
 
 
 def test_sigma_block_layout_and_symmetry():
@@ -49,19 +48,23 @@ def test_sigma_block_layout_and_symmetry():
     spec = msd()
     s = nr.Sample(x)
     est = nr.estimate_empirical(spec, s)
-    sig = nr.plugin_sigma(spec, s, est.chain)
-    assert sig.full.shape == (3, 3)
-    np.testing.assert_allclose(sig.full, sig.full.T, atol=1e-12)
-    assert np.linalg.eigvalsh(sig.full)[0] >= -1e-9 * np.trace(sig.full)
-    np.testing.assert_allclose(sig.block(1, 2), sig.full[0:1, 1:2])
+    full = _sigma(spec, s.data, est.chain)
+    assert full.shape == (3, 3)
+    np.testing.assert_allclose(full, full.T, atol=1e-12)
+    assert np.linalg.eigvalsh(full)[0] >= -1e-9 * np.trace(full)
+    # block (1, 2): the 1/n covariance of the layer-1 and layer-2 values
+    f1 = _eval_layer(spec, 1, est.chain.input_for(1), s.data)[:, 0]
+    f2 = _eval_layer(spec, 2, est.chain.input_for(2), s.data)[:, 0]
+    np.testing.assert_allclose(full[0:1, 1:2],
+                               [[np.cov(f1, f2, bias=True)[0, 1]]], rtol=1e-12)
 
 
 def test_sigma_needs_two_observations():
     s = nr.Sample(np.array([1.0]))
     spec = mean_spec()
     est = nr.estimate_empirical(spec, s)
-    with pytest.raises(nr.ConfigError):
-        nr.plugin_sigma(spec, s, est.chain)
+    with pytest.raises(nr.ConfigError, match="two observations"):
+        nr.asymptotic_report(spec, s, est)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -85,10 +88,11 @@ def test_sigma_layer_major_matches_bruteforce_on_two_column_stack():
     assert spec.signature.dims == (2, 2, 2)
     s = nr.Sample(x)
     est = nr.estimate_empirical(spec, s)
-    sig = nr.plugin_sigma(spec, s, est.chain)
+    full = _sigma(spec, s.data, est.chain)
     naive = stacked_covariance(spec, x, est.chain)
-    np.testing.assert_allclose(sig.full, naive, rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(sig.block(2, 3), naive[2:4, 4:6], rtol=1e-12,
+    np.testing.assert_allclose(full, naive, rtol=1e-12, atol=1e-14)
+    # block (2, 3): the layer-2 coordinates 2:4 against the layer-3 ones 4:6
+    np.testing.assert_allclose(full[2:4, 4:6], naive[2:4, 4:6], rtol=1e-12,
                                atol=1e-14)
 
 
@@ -99,20 +103,20 @@ def test_sigma_and_jacobians_of_three_asset_portfolio():
     x = np.random.default_rng(23).normal(size=(80, 3)) + [0.1, 0.0, -0.2]
     s = nr.Sample(x)
     est = nr.estimate_empirical(spec, s)
-    sig = nr.plugin_sigma(spec, s, est.chain)
-    np.testing.assert_allclose(sig.full, stacked_covariance(spec, x, est.chain),
+    full = _sigma(spec, s.data, est.chain)
+    np.testing.assert_allclose(full, stacked_covariance(spec, x, est.chain),
                                rtol=1e-12, atol=1e-14)
     # expected Jacobians written out: d f1 / d eta2 and d f2 / d eta3
     eta3 = est.chain.input_for(2)[0]
     eta2 = est.chain.input_for(1)[0]
     j1 = kappa / p * eta2 ** (1.0 / p - 1.0)
     j2 = np.mean(p * np.maximum(0.0, eta3 - x @ u) ** (p - 1.0))
-    chains = nr.chain_matrices(spec, s, est.chain, fd_fallback=False)
-    assert chains.jacobian_means[0][0, 0] == pytest.approx(j1, rel=1e-12)
-    assert chains.jacobian_means[1][0, 0] == pytest.approx(j2, rel=1e-12)
+    jmeans = _jacobian_means(spec, est.chain, s.data)
+    assert jmeans[0][0, 0] == pytest.approx(j1, rel=1e-12)
+    assert jmeans[1][0, 0] == pytest.approx(j2, rel=1e-12)
     rep = nr.asymptotic_report(spec, s, est, level=0.9)
     ct = np.array([[1.0, j1, j1 * j2]])
-    np.testing.assert_allclose(rep.limit_cov, ct @ sig.full @ ct.T, rtol=1e-12)
+    np.testing.assert_allclose(rep.limit_cov, ct @ full @ ct.T, rtol=1e-12)
 
 
 def test_sigma_eigenvalue_clip_branch_matches_bruteforce(monkeypatch):
@@ -132,26 +136,24 @@ def test_sigma_eigenvalue_clip_branch_matches_bruteforce(monkeypatch):
         x = np.random.default_rng(seed).normal(10.0, 2.0, size=50)
         s = nr.Sample(x)
         est = nr.estimate_empirical(spec, s)
-        sig = nr.plugin_sigma(spec, s, est.chain)
+        full = _sigma(spec, s.data, est.chain)
         naive = stacked_covariance(spec, x, est.chain)
-        np.testing.assert_allclose(sig.full, naive, rtol=1e-12, atol=1e-14)
-        np.testing.assert_array_equal(sig.full, sig.full.T)
+        np.testing.assert_allclose(full, naive, rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(full, full.T)
     monkeypatch.undo()
     assert clipped and set(clipped) == {(3, 3)}
 
 
-# --- chain_matrices ---------------------------------------------------------------
+# --- _jacobian_means: the expected layer Jacobians ---------------------------------
 
 def test_chain_identity_layers():
-    from naive import linear_spec
     eye = np.eye(2)
     spec = linear_spec([eye, eye], m=1)
     rng = np.random.default_rng(3)
     s = nr.Sample(rng.normal(size=9))
     est = nr.estimate_empirical(spec, s)
-    chains = nr.chain_matrices(spec, s, est.chain)
-    for cr in chains.C_r_T:
-        np.testing.assert_allclose(cr, eye, atol=1e-13)
+    for jmean in _jacobian_means(spec, est.chain, s.data):
+        np.testing.assert_allclose(jmean, eye, atol=1e-13)
 
 
 def test_chain_linear_layers_exact_products():
@@ -160,16 +162,15 @@ def test_chain_linear_layers_exact_products():
     spec = linear_spec([a1, a2], m=1)
     s = nr.Sample(rng.normal(size=6))
     est = nr.estimate_empirical(spec, s)
-    chains = nr.chain_matrices(spec, s, est.chain)
-    np.testing.assert_allclose(chains.C_r_T[0], a1, rtol=1e-14)
-    np.testing.assert_allclose(chains.C_r_T[1], a1 @ a2, rtol=1e-14)
-    # recursion invariant: C_r^T = C_{r-1}^T E[J_r]
-    np.testing.assert_allclose(chains.C_r_T[1],
-                               chains.C_r_T[0] @ chains.jacobian_means[1],
-                               rtol=1e-14)
-    # stacked layout: (I, C_1^T, C_2^T)
-    np.testing.assert_allclose(chains.stacked[:, :2], np.eye(2))
-    np.testing.assert_allclose(chains.stacked[:, 2:4], chains.C_r_T[0])
+    j1, j2 = _jacobian_means(spec, est.chain, s.data)
+    np.testing.assert_allclose(j1, a1, rtol=1e-14)
+    np.testing.assert_allclose(j2, a2, rtol=1e-14)
+    # stacked layout C^T = (I, C_1^T, C_2^T) with C_r^T = C_{r-1}^T E[J_r],
+    # matching the Sigma block layout
+    ct = np.concatenate([np.eye(2), a1, a1 @ a2], axis=1)
+    want = ct @ _sigma(spec, s.data, est.chain) @ ct.T
+    np.testing.assert_allclose(_limit_cov(spec, s.data, est.chain), want,
+                               rtol=1e-12, atol=1e-14)
 
 
 def test_chain_mean_semideviation_outer_jacobian_formula():
@@ -178,15 +179,14 @@ def test_chain_mean_semideviation_outer_jacobian_formula():
     kappa, p = 0.5, 2.0
     spec = msd(kappa, p)
     est = nr.estimate_empirical(spec, s)
-    chains = nr.chain_matrices(spec, s, est.chain)
+    j1 = _jacobian_means(spec, est.chain, s.data)[0][0, 0]
     eta2 = est.chain.input_for(1)[0]
-    assert chains.jacobian_means[0][0, 0] == pytest.approx(
-        kappa / p * eta2 ** (1 / p - 1), rel=1e-12)
+    assert j1 == pytest.approx(kappa / p * eta2 ** (1 / p - 1), rel=1e-12)
     # finite-difference cross-check of the declared outer Jacobian
     h = 1e-6 * max(1.0, eta2)
     up = np.mean(s.data[:, 0] + kappa * (eta2 + h) ** (1 / p))
     dn = np.mean(s.data[:, 0] + kappa * (eta2 - h) ** (1 / p))
-    assert chains.jacobian_means[0][0, 0] == pytest.approx((up - dn) / (2 * h), rel=1e-5)
+    assert j1 == pytest.approx((up - dn) / (2 * h), rel=1e-5)
 
 
 def test_chain_fd_fallback_when_jacobian_missing():
@@ -200,40 +200,38 @@ def test_chain_fd_fallback_when_jacobian_missing():
                          (LayerFn(1, f1), LayerFn(2, f2)))
     s = nr.Sample(np.array([1.0, 3.0]))
     est = nr.estimate_empirical(spec, s)
-    chains = nr.chain_matrices(spec, s, est.chain)
-    assert chains.jacobian_means[0][0, 0] == pytest.approx(2 * 2.0, rel=1e-8)
-    with pytest.raises(nr.EvaluationError):
-        nr.chain_matrices(spec, s, est.chain, fd_fallback=False)
+    jmean = _jacobian_means(spec, est.chain, s.data)[0]
+    assert jmean[0, 0] == pytest.approx(2 * 2.0, rel=1e-8)
 
 
-# --- limit_variance -----------------------------------------------------------------
+# --- the limit covariance C^T Sigma_g C ------------------------------------------------
 
 def test_limit_variance_k0_is_sample_variance():
     s = nr.Sample(np.array([1.0, 2.0, 3.0]))
     spec = mean_spec()
     est = nr.estimate_empirical(spec, s)
-    sig = nr.plugin_sigma(spec, s, est.chain)
-    chains = nr.chain_matrices(spec, s, est.chain)
-    cov = nr.limit_variance(sig, chains)
+    cov = nr.asymptotic_report(spec, s, est).limit_cov
     assert cov[0, 0] == pytest.approx(2.0 / 3.0, rel=1e-14)
 
 
 def test_contrast_on_two_independent_identical_components():
-    # hand computation with a block-diagonal Sigma: variance of the (1,-1)
+    # two identical components of independent identical coordinates: the
+    # limit covariance is block diagonal, so the variance of the (1, -1)
     # contrast is twice the single-component limit variance
-    v = 1.7
-    sig = SigmaEstimate(np.diag([v, v]), (0, 1, 2))
-    chains = nr.ChainMatrices((), (), np.eye(2))
+    law = nr.TwoPoint(0.0, 2.0)
+    v = exact_limit_variance(msd(), law.oracle())[0, 0]
+    cov = exact_limit_variance(nr.stack_specs([msd(), msd()]),
+                               nr.ProductLaw((law, law)).oracle())
     w = np.array([1.0, -1.0])
-    assert w @ nr.limit_variance(sig, chains) @ w == pytest.approx(2 * v, rel=1e-14)
+    assert w @ cov @ w == pytest.approx(2 * v, rel=1e-12)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: nr.limit_variance(SigmaEstimate(np.eye(3), (0, 1, 2, 3)),
-                              nr.ChainMatrices((), (), np.eye(1, 2))),
     lambda: nr.confidence_interval(np.array([1.0, 2.0]), np.eye(3), 10, 0.95),
+    lambda: nr.confidence_interval(np.array([1.0]), np.eye(1), 0, 0.95),
+    lambda: nr.confidence_interval(np.array([1.0]), np.eye(1), -3, 0.95),
     lambda: exact_limit_variance(msd(), None),
-], ids=["chain-width", "interval-size", "no-oracle"])
+], ids=["interval-size", "interval-n-zero", "interval-n-negative", "no-oracle"])
 def test_mismatched_inputs_raise_config_error(call):
     with pytest.raises(nr.ConfigError):
         call()
@@ -345,9 +343,11 @@ def test_plugin_paths_reject_a_sample_of_another_dimension():
     s = nr.sample(nr.SamplerConfig(law, 7), 200)
     est = nr.estimate_empirical(spec, nr.Sample(s.data[:, 0]))
     with pytest.raises(nr.ConfigError, match="dimension 2"):
-        nr.plugin_sigma(spec, s, est.chain)
+        _sigma(spec, s.data, est.chain)
     with pytest.raises(nr.ConfigError, match="dimension 2"):
-        nr.chain_matrices(spec, s, est.chain)
+        _jacobian_means(spec, est.chain, s.data)
+    with pytest.raises(nr.ConfigError, match="dimension 2"):
+        nr.asymptotic_report(spec, s, est)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -360,24 +360,34 @@ def test_exact_limit_variance_overflow_raises_naming_the_layer():
     assert info.value.layer == 2
     s = nr.sample(nr.SamplerConfig(nr.Normal(0.0, 10.0), 1), 200)
     with pytest.raises(nr.EvaluationError) as info:
-        nr.plugin_sigma(spec, s, nr.estimate_empirical(spec, s).chain)
+        nr.asymptotic_report(spec, s, nr.estimate_empirical(spec, s))
     assert info.value.layer == 2
 
 
-@given(kind=st.sampled_from(["msd", "ho"]), n=st.integers(50, 1123),
-       p=st.sampled_from([1.5, 2.0, 3.0]), seed=st.integers(0, 2**32 - 1))
+@given(kind=st.sampled_from(["msd", "ho", "portfolio", "stack"]),
+       n=st.integers(50, 1123), p=st.sampled_from([1.5, 2.0, 3.0]),
+       seed=st.integers(0, 2**32 - 1))
 def test_equal_weight_rule_equals_the_sample(kind, n, p, seed):
     # the sample is the law whose rule puts weight 1/n on each row, so the
     # exact paths over that rule reproduce the plug-in ones
-    x = np.random.default_rng(seed).normal(10.0, np.sqrt(3.0), n)
+    m = {"portfolio": 3, "stack": 2}.get(kind, 1)
+    x = np.random.default_rng(seed).normal(10.0, np.sqrt(3.0), (n, m))
     s = nr.Sample(x)
-    spec = msd(0.5, p) if kind == "msd" else _ho(20.0, p, float(np.quantile(x, 0.9)))
+    spec = {"msd": lambda: msd(0.5, p),
+            "ho": lambda: _ho(20.0, p, float(np.quantile(x, 0.9))),
+            "portfolio": lambda: nr.make_portfolio_semideviation(
+                nr.MeasureParams(kappa=0.6, p=p), 3)(np.array([0.5, 0.3, 0.2])),
+            "stack": lambda: nr.stack_specs([msd(0.5, p), msd(0.8, 3.0)])}[kind]()
     oracle = nr.QuadratureRule(s.data, np.full(n, 1.0 / n))
     est = nr.estimate_empirical(spec, s)
     np.testing.assert_allclose(est.value, nr.eval_exact_chain(spec, oracle).value,
                                rtol=1e-12)
-    np.testing.assert_allclose(nr.asymptotic_report(spec, s, est).limit_cov,
-                               exact_limit_variance(spec, oracle), rtol=1e-12)
+    got = nr.asymptotic_report(spec, s, est).limit_cov
+    want = exact_limit_variance(spec, oracle)
+    # a stack's off-diagonal may be roundoff-sized, so the whole matrix is
+    # compared on its own scale and the variances each on theirs
+    np.testing.assert_allclose(np.diag(got), np.diag(want), rtol=1e-12)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 # --- Monte Carlo validation ------------------------------------------------------------

@@ -80,7 +80,7 @@ def test_exact_chain_rejects_an_oracle_of_another_dimension():
     chain = nr.eval_exact_chain(fam(15.0), one)
     with pytest.raises(nr.ConfigError, match="dimension 2"):
         nr.propagate_direction(fam(15.0), chain, oracle,
-                               nr.Direction((np.zeros(1), np.ones(1))))
+                               (np.zeros(1), np.ones(1)))
 
 
 def test_k0_chain_is_plain_mean():
@@ -104,7 +104,7 @@ def test_propagate_k0_base_case():
     spec = mean_spec()
     oracle = nr.TwoPoint(0.0, 1.0).oracle()
     chain = nr.eval_exact_chain(spec, oracle)
-    xi = nr.propagate_direction(spec, chain, oracle, nr.Direction((np.array([2.5]),)))
+    xi = nr.propagate_direction(spec, chain, oracle, (np.array([2.5]),))
     assert xi[0] == pytest.approx(2.5, abs=1e-15)
 
 
@@ -116,7 +116,7 @@ def test_propagate_linear_layers_matches_matrix_expansion():
     oracle = nr.TwoPoint(0.0, 1.0).oracle()
     chain = nr.eval_exact_chain(spec, oracle)
     d1, d2, d3 = rng.normal(size=2), rng.normal(size=2), rng.normal(size=2)
-    xi = nr.propagate_direction(spec, chain, oracle, nr.Direction((d1, d2, d3)))
+    xi = nr.propagate_direction(spec, chain, oracle, (d1, d2, d3))
     # brute-force expansion of the recursion: xi1 = d1 + A1 d2 + A1 A2 d3
     expected = d1 + a1 @ d2 + a1 @ (a2 @ d3)
     np.testing.assert_allclose(xi, expected, rtol=1e-12)
@@ -132,9 +132,9 @@ def test_propagate_linear_in_direction():
     e = tuple(rng.normal(size=2) for _ in range(3))
     alpha, beta = 1.7, -0.4
     mix = tuple(alpha * di + beta * ei for di, ei in zip(d, e))
-    lhs = nr.propagate_direction(spec, chain, oracle, nr.Direction(mix))
-    rhs = (alpha * nr.propagate_direction(spec, chain, oracle, nr.Direction(d))
-           + beta * nr.propagate_direction(spec, chain, oracle, nr.Direction(e)))
+    lhs = nr.propagate_direction(spec, chain, oracle, mix)
+    rhs = (alpha * nr.propagate_direction(spec, chain, oracle, d)
+           + beta * nr.propagate_direction(spec, chain, oracle, e))
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -147,7 +147,7 @@ def test_propagate_rejects_malformed_directions():
                      ((two, two, three), r"d_\{k\+1\}"),
                      ((two, three, two), "entry 2")]:
         with pytest.raises(nr.ConfigError, match=match):
-            nr.propagate_direction(spec, chain, oracle, nr.Direction(d))
+            nr.propagate_direction(spec, chain, oracle, d)
 
 
 def test_propagate_inner_unit_direction_matches_finite_difference():
@@ -159,7 +159,7 @@ def test_propagate_inner_unit_direction_matches_finite_difference():
     chain = nr.eval_exact_chain(spec, oracle)
     zero = np.zeros(1)
     xi = nr.propagate_direction(
-        spec, chain, oracle, nr.Direction((zero, zero, np.array([1.0]))))
+        spec, chain, oracle, (zero, zero, np.array([1.0])))
 
     eps = 1e-6
     shifted = nr.make_mean_semideviation(params)
@@ -170,9 +170,12 @@ def test_propagate_inner_unit_direction_matches_finite_difference():
     fd = (nr.eval_exact_chain(bumped, oracle).value[0] - chain.value[0]) / eps
     assert xi[0] == pytest.approx(fd, rel=1e-5)
 
+    # the sample's empirical measure, a rule with weights 1/n, estimates it
     s = nr.sample(nr.SamplerConfig(nr.Normal(10.0, np.sqrt(3.0)), 3), 4000)
-    chains = nr.chain_matrices(spec, s, chain)
-    assert xi[0] == pytest.approx(chains.C_r_T[1][0, 0], rel=0.05)
+    sample_rule = nr.QuadratureRule(s.data, np.full(s.n, 1.0 / s.n))
+    xi_n = nr.propagate_direction(spec, chain, sample_rule,
+                                  (zero, zero, np.array([1.0])))
+    assert xi[0] == pytest.approx(xi_n[0], rel=0.05)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -184,11 +187,13 @@ def test_propagate_singular_gradient_raises_naming_the_layer():
     chain = nr.eval_exact_chain(spec, oracle)
     with pytest.raises(nr.EvaluationError) as err:
         nr.propagate_direction(spec, chain, oracle,
-                               nr.Direction((np.zeros(1), np.ones(1))))
+                               (np.zeros(1), np.ones(1)))
     assert err.value.layer == 1
 
 
-def test_propagate_requires_jacobians_when_fd_disabled():
+def test_propagate_without_declared_jacobian_uses_finite_differences():
+    # f1 = eta + x declares no jacobian_eta, so its expected Jacobian is the
+    # central difference, 1 up to roundoff for a layer affine in eta
     def f1(eta, x):
         return eta[0] + x[:, 0]
 
@@ -199,10 +204,8 @@ def test_propagate_requires_jacobians_when_fd_disabled():
                          (LayerFn(1, f1), LayerFn(2, f2)))
     oracle = nr.TwoPoint(0.0, 1.0).oracle()
     chain = nr.eval_exact_chain(spec, oracle)
-    with pytest.raises(nr.EvaluationError):
-        nr.propagate_direction(spec, chain, oracle,
-                               nr.Direction((np.zeros(1), np.ones(1))),
-                               fd_fallback=False)
+    xi = nr.propagate_direction(spec, chain, oracle, (np.zeros(1), np.ones(1)))
+    assert xi[0] == pytest.approx(1.0, rel=1e-9)
 
 
 # --- Jacobian consistency ----------------------------------------------------

@@ -321,6 +321,25 @@ def test_measure_json_errors():
         nr.parse_measure('{"kind": "higher_order", "c": 0.5}')
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "systemic", "outer": {"kind": "max"},
+      "components": [{"kind": "higher_order"}]},
+     "outer kind must be 'linear' or 'mean_semideviation'"),
+    ({"kind": "mean_semideviation", "kappa": 2}, "kappa must lie in [0, 1]"),
+    ({"kind": "mean_semideviation", "kappa": "a"},
+     "invalid measure parameters: could not convert string to float: 'a'"),
+    ({"kind": "systemic", "components": [{"kind": "mean_semideviation",
+                                          "kappa": "a"}]},
+     "invalid measure parameters: could not convert string to float: 'a'"),
+], ids=["outer-kind", "kappa-range", "kappa-text", "component-kappa-text"])
+def test_measure_errors_keep_the_library_message(doc, message):
+    # a ConfigError of the measure's own checks passes through as it is;
+    # only a value that fails to convert is wrapped, and only once
+    with pytest.raises(nr.ConfigError) as info:
+        nr.parse_measure(doc)
+    assert str(info.value) == message
+
+
 def test_missing_measure_file_is_a_config_error(tmp_path):
     path = tmp_path / "nofile.json"
     with pytest.raises(nr.ConfigError, match="nofile.json"):

@@ -260,6 +260,17 @@ def test_joint_covariance_block_diagonal_and_joint():
     assert abs(cov2[0, 1]) < 0.25 * np.sqrt(cov2[0, 0] * cov2[1, 1])
 
 
+def test_joint_covariance_needs_one_u_hat_and_one_sample_per_problem():
+    # three problems and two minimizers or two samples: no component is
+    # silently dropped
+    prob = exact_problem(10.0, SQ3)
+    s = nr.Sample(np.random.default_rng(6).normal(10.0, SQ3, 200))
+    with pytest.raises(nr.ConfigError, match="one u_hat per problem"):
+        nr.optimal_value_limit_covariance([prob] * 3, [12.0] * 2)
+    with pytest.raises(nr.ConfigError, match="one sample per problem"):
+        nr.optimal_value_limit_covariance([prob] * 3, [12.0] * 3, samples=[s, s])
+
+
 def test_joint_covariance_matches_gradient_congruence():
     # on dependent columns the joint covariance is outer(g, g) * Cov[f2],
     # with g_i = (c/p) eta_i^(1/p - 1) and eta_i = mean((X_i - u_i)_+^p)
