@@ -17,7 +17,6 @@ spec = nr.make_mean_semideviation(params)
 print(f"spec: {spec.label}")
 print(f"  layers: {len(spec.layers)}, dims: {spec.signature.dims}, "
       f"sample dim: {spec.signature.m}")
-print(f"  validation: {nr.validate_spec(spec).ok}")
 
 # --- exact evaluation against several laws ------------------------------------
 

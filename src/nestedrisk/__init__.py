@@ -9,7 +9,7 @@ intervals, and validating the normal limits by seeded Monte Carlo.
 from .asymptotics import (AsymptoticReport, asymptotic_report, confidence_interval,
                           exact_limit_variance, propagate_direction)
 from .core import (CompositeSpec, DimSignature, EtaChain, LayerFn, PowerMaxForm,
-                   QuadratureRule, ValidationResult, eval_exact_chain, validate_spec)
+                   QuadratureRule, eval_exact_chain)
 from .errors import ConfigError, EvaluationError
 from .estimators import (BandwidthSchedule, EstimateReport, IdentityCheck,
                          KernelSpec, Sample, SmoothingPlan, bandwidth,

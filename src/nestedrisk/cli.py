@@ -172,11 +172,12 @@ def _exact(mcfg: MeasureConfig, law):
     """(value, limit variance) of a scalar measure under the law's
     quadrature oracle."""
     built = _scalar_build(mcfg)
+    m = 1 if mcfg.kind == "higher_order" else built.m
+    if law.dimension != m:    # before the rule, whose size grows like 100^m
+        raise ConfigError(
+            f"law dimension {law.dimension} does not match spec dimension {m}")
     oracle = law.oracle()
     if mcfg.kind == "higher_order":
-        if law.dimension != 1:
-            raise ConfigError(
-                f"law dimension {law.dimension} does not match spec dimension 1")
         mean, var = law.moments()
         sd = np.sqrt(var)
         prob = ScalarProblem(built, (float(mean - 6 * sd), float(mean + 12 * sd)),

@@ -25,6 +25,7 @@ or the nodes of a rule with its weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,6 +35,10 @@ from .errors import ConfigError, EvaluationError
 # Central-difference step for Jacobian checks and fallback Jacobians:
 # h = max(FD_STEP, FD_STEP * |eta|) per coordinate.
 FD_STEP = 1e-6
+
+# Largest tensor-product rule ``QuadratureRule.product`` builds: 10^7 nodes
+# of dimension m take 80 m MB, and the layers evaluate several such arrays.
+MAX_RULE_NODES = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -90,20 +95,22 @@ class LayerFn:
 
     ``evaluator(eta, x)`` for layers 1..k, ``evaluator(x)`` for layer k+1.
     ``jacobian_eta(eta, x)`` returns shape (n, out_dim, eta_dim); absent for
-    the innermost layer. ``eta_box`` is an optional (low, high) pair of
-    coordinate bounds used only to generate probe points for checks.
+    the innermost layer.
     """
 
     index: int
     evaluator: Callable
     jacobian_eta: Callable | None = None
-    eta_box: tuple[np.ndarray, np.ndarray] | None = None
     powermax: PowerMaxForm | None = None
 
 
 @dataclass(frozen=True)
 class CompositeSpec:
-    """A composite functional: dimension signature plus ordered layers f1..f_{k+1}."""
+    """A composite functional: dimension signature plus ordered layers f1..f_{k+1}.
+
+    Layer j's output dimension is checked against ``dims[j-1]`` wherever
+    the layer is evaluated (``_eval_layer``), not here.
+    """
 
     signature: DimSignature
     layers: tuple[LayerFn, ...]
@@ -113,6 +120,9 @@ class CompositeSpec:
         if len(self.layers) != self.signature.k + 1:
             raise ConfigError(
                 f"expected {self.signature.k + 1} layers, got {len(self.layers)}")
+        for j, layer in enumerate(self.layers, 1):
+            if layer.index != j:
+                raise ConfigError(f"layer at position {j} carries index {layer.index}")
 
     @property
     def k(self) -> int:
@@ -149,7 +159,13 @@ class QuadratureRule:
     @classmethod
     def product(cls, rules: Sequence[QuadratureRule]) -> QuadratureRule:
         """Tensor-product rule of one-dimensional rules, first coordinate
-        varying slowest."""
+        varying slowest. A rule of more than MAX_RULE_NODES nodes is
+        rejected before anything is allocated."""
+        count = prod(r.weights.shape[0] for r in rules)
+        if count > MAX_RULE_NODES:
+            raise ConfigError(
+                f"a tensor-product rule of {len(rules)} coordinates would have "
+                f"{count} nodes, more than {MAX_RULE_NODES}")
         grids = np.meshgrid(*[r.nodes[:, 0] for r in rules], indexing="ij")
         wgrids = np.meshgrid(*[r.weights for r in rules], indexing="ij")
         return cls(np.stack([g.ravel() for g in grids], axis=1),
@@ -173,28 +189,27 @@ class EtaChain:
         return self.eta[k - j]
 
 
-@dataclass(frozen=True)
-class DimMismatch:
-    pair: tuple[int, int]
-    expected: int
-    actual: int
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    mismatches: tuple[DimMismatch, ...]
-
-
 def _eval_layer(spec: CompositeSpec, j: int, eta: np.ndarray | None,
                 x: np.ndarray) -> np.ndarray:
-    """Evaluate layer j on an (n, m) matrix, normalizing output to (n, d)."""
+    """Evaluate layer j on an (n, m) matrix, normalizing output to (n, d).
+
+    Every path evaluates layers here, so this is where an output that is
+    not (n, dims[j-1]) -- one row per point, of the dimension the layer
+    above takes as eta -- is rejected.
+    """
     layer = spec.layer(j)
     out = layer.evaluator(x) if j == spec.k + 1 else layer.evaluator(eta, x)
     out = np.asarray(out, dtype=float)
     if out.ndim == 1:
         out = out[:, None]
+    expected = spec.signature.dims[j - 1]
+    if out.shape != (x.shape[0], expected):
+        if out.ndim == 2 and out.shape[0] == x.shape[0]:
+            raise ConfigError(
+                f"layer {j} returned dimension {out.shape[1]}, "
+                f"but layer {j - 1} expects eta of dimension {expected}")
+        raise ConfigError(
+            f"layer {j} returned shape {out.shape} for {x.shape[0]} points")
     return out
 
 
@@ -244,47 +259,6 @@ def _chain(spec: CompositeSpec, x: np.ndarray, weights: np.ndarray | None = None
             if mean is None else mean
         etas.append(eta)
     return EtaChain(tuple(etas))
-
-
-def validate_spec(spec: CompositeSpec) -> ValidationResult:
-    """Check that adjacent layer dimensions chain correctly.
-
-    Each layer is probed at eta = box midpoint (or zeros) and a single
-    zero sample point; output dimensions are compared with the declared
-    signature. Diagnostics are returned, never raised.
-    """
-    sig = spec.signature
-    mismatches: list[DimMismatch] = []
-    x0 = np.zeros((1, sig.m))
-    for j in range(sig.k + 1, 0, -1):
-        layer = spec.layer(j)
-        if layer.index != j:
-            mismatches.append(DimMismatch(
-                (j, j), j, layer.index,
-                f"layer at position {j} carries index {layer.index}"))
-        if j == sig.k + 1:
-            eta = None
-        else:
-            d_in = sig.dims[j]
-            if layer.eta_box is not None:
-                lo, hi = layer.eta_box
-                eta = (np.asarray(lo, dtype=float) + np.asarray(hi, dtype=float)) / 2.0
-            else:
-                eta = np.zeros(d_in)
-        try:
-            out = _eval_layer(spec, j, eta, x0)
-        except Exception as exc:  # evaluation failure is itself a diagnostic
-            mismatches.append(DimMismatch(
-                (max(j - 1, 0), j), sig.dims[j - 1], -1,
-                f"layer {j} failed to evaluate at probe: {exc}"))
-            continue
-        expected = sig.dims[j - 1]
-        if out.shape[1] != expected:
-            mismatches.append(DimMismatch(
-                (max(j - 1, 0), j), expected, out.shape[1],
-                f"layer {j} returned dimension {out.shape[1]}, "
-                f"but layer {j - 1} expects eta of dimension {expected}"))
-    return ValidationResult(not mismatches, tuple(mismatches))
 
 
 def eval_exact_chain(spec: CompositeSpec, oracle: QuadratureRule) -> EtaChain:

@@ -20,23 +20,20 @@ from math import comb, gamma as gamma_fn
 import numpy as np
 
 from .core import (CompositeSpec, EtaChain, PowerMaxForm, QuadratureRule, _chain,
-                   _eval_layer, _layer_mean, validate_spec)
+                   _eval_layer, _layer_mean)
 from .errors import ConfigError, EvaluationError
 
 _KERNEL_FAMILIES = ("uniform", "gaussian", "epanechnikov")
 
 
 def _abs_moment_1d(family: str, q: float) -> float:
-    """E|Y|^q for the unscaled one-dimensional kernel density."""
-    if q == 0:
-        return 1.0
+    """E|Y|^q, q >= 1, for the unscaled one-dimensional kernel density of
+    a family that ``KernelSpec`` accepts."""
     if family == "uniform":          # density 1/2 on [-1, 1]
         return 1.0 / (q + 1.0)
     if family == "epanechnikov":     # density (3/4)(1 - y^2) on [-1, 1]
         return 3.0 / ((q + 1.0) * (q + 3.0))
-    if family == "gaussian":
-        return 2.0 ** (q / 2.0) * gamma_fn((q + 1.0) / 2.0) / np.sqrt(np.pi)
-    raise ConfigError(f"unknown kernel family {family!r}")
+    return 2.0 ** (q / 2.0) * gamma_fn((q + 1.0) / 2.0) / np.sqrt(np.pi)  # gaussian
 
 
 @lru_cache(maxsize=32)
@@ -53,12 +50,7 @@ def _kernel_nodes_1d(family: str, count: int):
         w = w / np.sqrt(2 * np.pi)
     else:
         z, w = np.polynomial.legendre.leggauss(count)
-        if family == "uniform":
-            w = w * 0.5
-        elif family == "epanechnikov":
-            w = w * 0.75 * (1.0 - z * z)
-        else:
-            raise ConfigError(f"unknown kernel family {family!r}")
+        w = w * 0.5 if family == "uniform" else w * 0.75 * (1.0 - z * z)
     z.flags.writeable = False
     w.flags.writeable = False
     return z, w
@@ -192,12 +184,6 @@ class EstimateReport:
     chain: EtaChain
 
 
-def _require_valid(spec: CompositeSpec) -> None:
-    result = validate_spec(spec)
-    if not result.ok:
-        raise ConfigError("invalid spec: " + "; ".join(m.message for m in result.mismatches))
-
-
 def estimate_empirical(spec: CompositeSpec, sample: Sample) -> EstimateReport:
     """Fully empirical plug-in estimate.
 
@@ -205,7 +191,6 @@ def estimate_empirical(spec: CompositeSpec, sample: Sample) -> EstimateReport:
     do not depend on the outer summation index, this equals the fully nested
     empirical sums evaluated directly.
     """
-    _require_valid(spec)
     chain = _chain(spec, sample.data)
     return EstimateReport(chain.value, chain)
 
@@ -368,7 +353,6 @@ def estimate_mixed(spec: CompositeSpec, sample: Sample,
                    plan: SmoothingPlan) -> EstimateReport:
     """Mixed plug-in estimate: smoothed means at layers in plan.J, empirical
     means elsewhere. With empty J the result is exactly estimate_empirical."""
-    _require_valid(spec)
     smooth = None
     if plan.J:
         _check_plan(spec, sample, plan)

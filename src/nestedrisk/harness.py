@@ -150,7 +150,8 @@ class ProductLaw:
 
     def oracle(self, nodes: int = 1000) -> QuadratureRule:
         """Tensor-product rule of the factors' rules; the node count
-        multiplies across coordinates, so this suits a handful of them."""
+        multiplies across coordinates, so at the default 100 nodes per
+        coordinate ``QuadratureRule.product`` rejects more than three."""
         per = max(nodes // 10, 40) if len(self.laws) > 1 else nodes
         return QuadratureRule.product([law.oracle(per) for law in self.laws])
 
@@ -367,8 +368,6 @@ def dumps_json(obj, indent: int = 0) -> str:
         sp = "  " * depth
         spi = "  " * (depth + 1)
         if isinstance(v, dict):
-            if not v:
-                return "{}"
             items = [f'{spi}"{k}": {enc(val, depth + 1)}' for k, val in v.items()]
             return "{\n" + ",\n".join(items) + f"\n{sp}}}"
         if isinstance(v, (list, tuple, np.ndarray)):

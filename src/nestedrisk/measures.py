@@ -10,8 +10,8 @@ Shipped measures:
 * systemic aggregation of component risks, either linear or through an
   outer mean-semideviation on the finite component space.
 
-Factories attach analytic Jacobians, power-max tags (for closed-form
-uniform-kernel smoothing), and probe boxes.
+Factories attach analytic Jacobians and power-max tags (for closed-form
+uniform-kernel smoothing).
 """
 
 from __future__ import annotations
@@ -79,9 +79,8 @@ def make_mean_semideviation(params: MeasureParams) -> CompositeSpec:
         return np.full((x.shape[0], 1, 1), val)
 
     layers = (
-        LayerFn(1, f1, f1_jac, eta_box=(np.array([1e-2]), np.array([50.0]))),
-        LayerFn(2, f2, f2_jac, eta_box=(np.array([-25.0]), np.array([25.0])),
-                powermax=PowerMaxForm(p, lambda eta, x: eta[0] - x[:, 0])),
+        LayerFn(1, f1, f1_jac),
+        LayerFn(2, f2, f2_jac, powermax=PowerMaxForm(p, lambda eta, x: eta[0] - x[:, 0])),
         LayerFn(3, f3),
     )
     label = params.label or f"mean_semideviation(kappa={kappa:g}, p={p:g})"
@@ -120,7 +119,7 @@ class HigherOrderFamily:
             return np.full((x.shape[0], 1, 1), val)
 
         layers = (
-            LayerFn(1, f1, f1_jac, eta_box=(np.array([1e-3]), np.array([10.0]))),
+            LayerFn(1, f1, f1_jac),
             LayerFn(2, f2, powermax=PowerMaxForm(p, lambda eta, x: x[:, 0] - u,
                                                  tail_objective=(u, c))),
         )
@@ -168,10 +167,9 @@ class PortfolioFamily:
 
         unit = self.m == 1 and abs(abs(u[0]) - 1.0) < 1e-15
         layers = (
-            LayerFn(1, f1, f1_jac, eta_box=(np.array([1e-2]), np.array([50.0]))),
-            LayerFn(2, f2, f2_jac, eta_box=(np.array([-25.0]), np.array([25.0])),
-                    powermax=PowerMaxForm(p, lambda eta, x: eta[0] - x @ u,
-                                          unit_slope=unit)),
+            LayerFn(1, f1, f1_jac),
+            LayerFn(2, f2, f2_jac, powermax=PowerMaxForm(
+                p, lambda eta, x: eta[0] - x @ u, unit_slope=unit)),
             LayerFn(3, f3),
         )
         label = self.label or f"portfolio_semideviation(kappa={kappa:g}, p={p:g})"
@@ -312,8 +310,6 @@ def stack_specs(components: Sequence[CompositeSpec]) -> CompositeSpec:
                 xi = x[:, x_off[i]:x_off[i + 1]]
                 ei = eta[eta_off[j][i]:eta_off[j][i + 1]]
                 od, idim = padded_dims[i][j - 1], padded_dims[i][j]
-                if lay.jacobian_eta is None:
-                    raise EvaluationError("component layer lacks a Jacobian", layer=j)
                 block = np.asarray(lay.jacobian_eta(ei, xi), dtype=float)
                 block = np.broadcast_to(block, (n, od, idim))
                 co = int(eta_off[j][i])
@@ -323,7 +319,10 @@ def stack_specs(components: Sequence[CompositeSpec]) -> CompositeSpec:
 
         if inner:
             return LayerFn(j, lambda x: ev(x))
-        return LayerFn(j, ev, jac)
+        # a component without a Jacobian leaves the stacked layer without
+        # one, so it takes central differences as the component alone would
+        declared = all(comp[j - 1].jacobian_eta is not None for comp in padded_layers)
+        return LayerFn(j, ev, jac if declared else None)
 
     layers = tuple(make_layer(j) for j in range(1, k + 2))
     label = " | ".join(c.label for c in comps)

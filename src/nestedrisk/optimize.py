@@ -21,7 +21,7 @@ from .asymptotics import _mixed_plan_variance, asymptotic_report, exact_limit_va
 from .core import CompositeSpec, QuadratureRule, _chain
 from .errors import ConfigError, EvaluationError
 from .estimators import (Sample, SmoothingPlan, _check_plan, _powermax_uniform_mean,
-                         _require_valid, _smoother, bandwidth, estimate_empirical)
+                         _smoother, bandwidth, estimate_empirical)
 from .measures import stack_specs
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -60,18 +60,16 @@ class ScalarProblem:
 
     def objective(self) -> Callable[[float], float]:
         """Scalar objective u -> estimated/exact composite value: the nested
-        means of family(u) over the oracle's nodes or the sample's rows. The
-        spec at the bracket midpoint is validated, and a mixed plan checked
-        against it, once per call rather than once per u."""
-        probe = self.family(0.5 * sum(self.bracket))
-        _require_valid(probe)
+        means of family(u) over the oracle's nodes or the sample's rows. A
+        mixed plan is checked against the spec at the bracket midpoint once
+        per call rather than once per u."""
         weights = smooth = None
         if self.objective_source == "exact-oracle":
             x, weights = self.oracle.nodes, self.oracle.weights
         else:
             x = self.sample.data
             if self.objective_source == "mixed-plan":
-                _check_plan(probe, self.sample, self.plan)
+                _check_plan(self.family(0.5 * sum(self.bracket)), self.sample, self.plan)
                 smooth = _smoother(self.sample, self.plan)
         family = self.family
         return lambda u: float(_chain(family(u), x, weights, smooth).value[0])
@@ -118,14 +116,8 @@ def minimize_scalar(problem: ScalarProblem, tol: float = 1e-8,
     ``boundary=True``; a flat optimum (more than 1% of a probe grid within
     solver tolerance of the minimum) sets ``flat=True``.
     """
-    fn = problem.objective()
+    ev = problem.objective()  # a non-finite value raises, naming the layer
     lo, hi = map(float, problem.bracket)
-
-    def ev(u: float) -> float:
-        v = fn(u)
-        if not np.isfinite(v):
-            raise EvaluationError(f"objective non-finite at u={u:g}")
-        return v
 
     tail = _sorted_tail(problem)
     if tail is None:

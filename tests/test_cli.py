@@ -308,6 +308,9 @@ _PORTFOLIO = '{"kind": "portfolio_semideviation", "m": 2, "u": [1, 0, 0]}'
 _PORTFOLIO_P1 = '{"kind": "portfolio_semideviation", "p": 1, "u": [1]}'
 _PORTFOLIO_M0 = '{"kind": "portfolio_semideviation", "m": 0, "u": []}'
 _PORTFOLIO_NAN = '{"kind": "portfolio_semideviation", "m": 2, "u": [NaN, 1]}'
+# four factors: the law's tensor rule would hold 100^4 nodes
+_LAW4 = "*".join(["normal:0,1"] * 4)
+_PORTFOLIO4 = '{"kind": "portfolio_semideviation", "m": 4, "u": [0.25, 0.25, 0.25, 0.25]}'
 
 
 def _systemic(outer):
@@ -361,6 +364,11 @@ def _systemic(outer):
      "--dimension", "0"],
     ["check-identity", "--kernel", "uniform", "--bandwidth", "silverman",
      "--order", "0.5"],
+    ["simulate", "--measure", "ho", "--law", _LAW4],
+    ["simulate", "--measure", _PORTFOLIO4, "--law", _LAW4],
+    ["simulate", "--measure", "msd", "--law", _LAW4],
+    ["estimate", "--measure", "msd", "--law", "*".join(["normal:0,1"] * 5),
+     "--kernel", "gaussian"],
 ], ids=["power-bandwidth-arity", "unknown-bandwidth", "smooth-layers-text",
         "compare-product-law", "systemic-scalar-measure", "systemic-law-dimension",
         "optimize-scalar-chain", "estimate-weights-length",
@@ -373,7 +381,9 @@ def _systemic(outer):
         "unknown-outer-kind", "outer-kappa-2", "outer-p-below-1",
         "inline-json-unparsed", "zero-replications", "portfolio-nan-allocation",
         "negative-bandwidth-scale", "negative-bandwidth-exponent",
-        "smooth-layer-0", "kernel-dimension-0", "moment-order-below-1"])
+        "smooth-layer-0", "kernel-dimension-0", "moment-order-below-1",
+        "simulate-higher-order-4-factor-law", "simulate-4-asset-portfolio",
+        "simulate-msd-4-factor-law", "gaussian-kernel-5-coordinates"])
 def test_config_error_paths_exit_2(argv, msd_json, ho_json, sys_json, capsys):
     paths = {"msd": msd_json, "ho": ho_json, "sys": sys_json}
     argv = [paths.get(a, a) for a in argv]

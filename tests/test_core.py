@@ -7,30 +7,60 @@ from nestedrisk.core import CompositeSpec, DimSignature, LayerFn, _eval_layer
 from naive import linear_spec, mean_spec, nested_empirical
 
 
-def test_validate_factory_spec_ok():
-    spec = nr.make_mean_semideviation(nr.MeasureParams(kappa=0.5, p=2.0))
-    result = nr.validate_spec(spec)
-    assert result.ok and not result.mismatches
-
-
-def test_validate_reports_mismatched_pair():
-    # f2 returns dimension 2 but f1 expects eta of dimension 1
+def _two_column_inner_spec():
+    # f2 returns dimension 2 but f1 expects eta of dimension 1; f1 reads
+    # eta[0] only, so without a shape check every path returns a number
     def f1(eta, x):
         return x[:, 0] + eta[0]
 
     def f2(x):
         return np.stack([x[:, 0], x[:, 0]], axis=1)
 
-    spec = CompositeSpec(DimSignature(1, 1, (1, 1)),
+    return CompositeSpec(DimSignature(1, 1, (1, 1)),
                          (LayerFn(1, f1), LayerFn(2, f2)))
-    result = nr.validate_spec(spec)
-    assert not result.ok
-    assert any(m.pair == (1, 2) and m.expected == 1 and m.actual == 2
-               for m in result.mismatches)
 
 
-def test_validate_degenerate_k0():
-    assert nr.validate_spec(mean_spec()).ok
+def _one_row_outer_spec():
+    # f1 returns one row whatever the number of points
+    return CompositeSpec(DimSignature(1, 1, (1, 1)),
+                         (LayerFn(1, lambda eta, x: np.atleast_2d(eta)),
+                          LayerFn(2, lambda x: x[:, 0])))
+
+
+def _shifted_rows(spec):
+    # the innermost layer declares no power-max form, so smoothing it
+    # evaluates it on the kernel-shifted sample rows
+    return nr.SmoothingPlan({spec.k + 1}, nr.KernelSpec("gaussian"),
+                            nr.BandwidthSchedule("power", 1.0, 0.51))
+
+
+_PATHS = {
+    "empirical": lambda spec: nr.estimate_empirical(spec, nr.Sample(np.arange(5.0))),
+    "exact-chain": lambda spec: nr.eval_exact_chain(spec, nr.TwoPoint(0.0, 2.0).oracle()),
+    "exact-variance": lambda spec: nr.exact_limit_variance(
+        spec, nr.TwoPoint(0.0, 2.0).oracle()),
+    "mixed-shifted-rows": lambda spec: nr.estimate_mixed(
+        spec, nr.Sample(np.arange(5.0)), _shifted_rows(spec)),
+}
+
+
+@pytest.mark.parametrize("path", list(_PATHS))
+@pytest.mark.parametrize("spec, message", [
+    (_two_column_inner_spec,
+     "layer 2 returned dimension 2, but layer 1 expects eta of dimension 1"),
+    (_one_row_outer_spec, r"layer 1 returned shape \(1, 1\) for \d+ points"),
+], ids=["two-column-inner", "one-row-outer"])
+def test_layer_output_of_another_shape_raises_naming_the_layer(spec, message, path):
+    with pytest.raises(nr.ConfigError, match=message):
+        _PATHS[path](spec())
+
+
+@pytest.mark.parametrize("path", list(_PATHS))
+def test_factory_and_k0_specs_pass_the_layer_check(path):
+    for spec in (nr.make_mean_semideviation(nr.MeasureParams(kappa=0.5, p=2.0)),
+                 mean_spec()):
+        out = _PATHS[path](spec)
+        assert np.all(np.isfinite(getattr(out, "value", out)))
 
 
 def test_exact_chain_point_mass():
@@ -206,26 +236,37 @@ def test_propagate_without_declared_jacobian_uses_finite_differences():
     chain = nr.eval_exact_chain(spec, oracle)
     xi = nr.propagate_direction(spec, chain, oracle, (np.zeros(1), np.ones(1)))
     assert xi[0] == pytest.approx(1.0, rel=1e-9)
+    # stacked, the spec's layer 1 still declares none, so the stacked
+    # layer takes central differences too, one unit per component
+    stacked = nr.stack_specs([spec, spec])
+    pair = nr.ProductLaw((nr.TwoPoint(0.0, 1.0),) * 2).oracle()
+    xi = nr.propagate_direction(stacked, nr.eval_exact_chain(stacked, pair), pair,
+                                (np.zeros(2), np.ones(2)))
+    np.testing.assert_allclose(xi, [1.0, 1.0], rtol=1e-9)
 
 
 # --- Jacobian consistency ----------------------------------------------------
 
+# eta ranges per layer with a declared Jacobian: a root's argument stays
+# positive, a semideviation's mean ranges over both signs
+_MSD_BOXES = {1: (np.array([1e-2]), np.array([50.0])),
+              2: (np.array([-25.0]), np.array([25.0]))}
+
+
 @pytest.mark.parametrize("factory", [
-    lambda: nr.make_mean_semideviation(nr.MeasureParams(kappa=0.5, p=2.0)),
-    lambda: nr.make_mean_semideviation(nr.MeasureParams(kappa=0.9, p=3.0)),
-    lambda: nr.make_higher_order_family(nr.MeasureParams(c=20.0, p=2.0))(14.5),
+    lambda: (nr.make_mean_semideviation(nr.MeasureParams(kappa=0.5, p=2.0)), _MSD_BOXES),
+    lambda: (nr.make_mean_semideviation(nr.MeasureParams(kappa=0.9, p=3.0)), _MSD_BOXES),
+    lambda: (nr.make_higher_order_family(nr.MeasureParams(c=20.0, p=2.0))(14.5),
+             {1: (np.array([1e-3]), np.array([10.0]))}),
 ])
 def test_declared_jacobians_match_central_differences(factory):
-    spec = factory()
+    spec, boxes = factory()
     rng = np.random.default_rng(42)
     x = rng.normal(10.0, 2.0, size=(100, spec.m))
-    for j in range(1, spec.k + 1):
+    assert sorted(boxes) == [j for j in range(1, spec.k + 1)
+                             if spec.layer(j).jacobian_eta is not None]
+    for j, (lo, hi) in boxes.items():
         layer = spec.layer(j)
-        if layer.jacobian_eta is None:
-            continue
-        lo, hi = layer.eta_box if layer.eta_box is not None \
-            else (np.full(spec.signature.dims[j], 0.1),
-                  np.full(spec.signature.dims[j], 10.0))
         for _ in range(100):
             eta = lo + (hi - lo) * rng.random(len(np.atleast_1d(lo)))
             declared = layer.jacobian_eta(eta, x)
@@ -274,28 +315,63 @@ def test_quadrature_rule_rejects_weights_that_are_not_a_law(weights):
         nr.QuadratureRule([[0.0], [2.0]], weights)
 
 
-def _raises_at_probe(eta, x):
-    raise ValueError("no value at the probe")
+def _raises(eta, x):
+    raise ValueError("no value here")
+
+
+def _three_levels(u):
+    return nr.make_mean_semideviation(nr.MeasureParams())
+
+
+def _three_level_problem():
+    # the optimal-value variance is defined for two-level families only
+    return nr.ScalarProblem(_three_levels, (0.0, 1.0),
+                            oracle=nr.TwoPoint(0.0, 2.0).oracle())
 
 
 @pytest.mark.parametrize("build", [
     lambda: DimSignature(1, -1, ()),
-    lambda: CompositeSpec(DimSignature(1, 1, (1, 1)), (LayerFn(1, _raises_at_probe),)),
+    lambda: CompositeSpec(DimSignature(1, 1, (1, 1)), (LayerFn(1, _raises),)),
     lambda: nr.QuadratureRule([[0.0], [1.0], [2.0]], [0.5, 0.5]),
     lambda: nr.ProductLaw(()),
     lambda: nr.sample(nr.SamplerConfig(nr.Normal(0.0, 1.0)), 0),
+    lambda: CompositeSpec(DimSignature(1, 1, (1, 1)),
+                          (LayerFn(2, lambda x: x[:, 0]), LayerFn(1, _raises))),
+    lambda: nr.ProductLaw((nr.Normal(0.0, 1.0),) * 4).oracle(),
+    lambda: nr.KernelSpec("gaussian", 5),
+    lambda: nr.KernelSpec("triangular"),
+    lambda: nr.BandwidthSchedule("scott"),
+    lambda: nr.bandwidth(nr.BandwidthSchedule("power"), 0),
+    lambda: nr.Sample(np.empty((0, 1))),
+    lambda: nr.Sample([1.0, np.nan]),
+    lambda: nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, 0.51),
+                                     nr.KernelSpec("uniform"), 0.5),
+    lambda: nr.ks_distance(np.array([0.0, 1.0]), 0.0, 0.0),
+    lambda: nr.stack_specs([]),
+    lambda: nr.systemic_value([1.0], nr.SystemicSpec(
+        (0.5, 0.5), nr.OuterAggregation("linear"))),
+    lambda: nr.MeasureConfig("var", nr.MeasureParams()).build(),
+    lambda: nr.MeasureConfig("var", nr.MeasureParams()).to_json(),
+    lambda: nr.ScalarProblem(_three_levels, (0.0, 1.0), "bootstrap"),
+    lambda: nr.optimal_value_clt_variance(_three_level_problem(), None, 0.5),
+    lambda: nr.optimal_value_limit_covariance(
+        [_three_level_problem()], [0.5], samples=nr.Sample(np.arange(3.0))),
 ], ids=["negative-depth", "layer-count", "rule-lengths", "empty-product-law",
-        "empty-sample"])
+        "empty-sample", "layer-index-order", "product-law-oracle-100^4-nodes",
+        "gaussian-kernel-64^5-nodes", "kernel-family", "bandwidth-rule",
+        "bandwidth-n-0", "sample-without-rows", "sample-nan",
+        "identity-order-below-1", "ks-zero-variance", "stack-no-components",
+        "systemic-value-length", "measure-kind-build", "measure-kind-json",
+        "objective-source", "variance-three-levels", "joint-three-levels"])
 def test_malformed_inputs_raise_config_error(build):
     with pytest.raises(nr.ConfigError):
         build()
 
 
-def test_validate_reports_a_layer_that_raises_at_the_probe():
+def test_a_layer_that_raises_raises_where_it_is_evaluated():
+    # no probe evaluates layers ahead of the estimate; the layer's own error
+    # comes out of the first path that runs it
     spec = CompositeSpec(DimSignature(1, 1, (1, 1)),
-                         (LayerFn(1, _raises_at_probe), LayerFn(2, lambda x: x[:, 0])))
-    result = nr.validate_spec(spec)
-    assert not result.ok
-    (bad,) = result.mismatches
-    assert bad.pair == (0, 1) and bad.actual == -1
-    assert "no value at the probe" in bad.message
+                         (LayerFn(1, _raises), LayerFn(2, lambda x: x[:, 0])))
+    with pytest.raises(ValueError, match="no value here"):
+        nr.estimate_empirical(spec, nr.Sample(np.arange(3.0)))
