@@ -19,7 +19,7 @@ from math import comb, gamma as gamma_fn
 
 import numpy as np
 
-from .core import (CompositeSpec, EtaChain, PowerMaxForm, QuadratureRule, _chain,
+from .core import (CompositeSpec, EtaChain, QuadratureRule, _chain,
                    _eval_layer, _layer_mean)
 from .errors import ConfigError, EvaluationError
 
@@ -259,19 +259,25 @@ def _powermax_tail_sums(gap: np.ndarray, p: int, offsets: np.ndarray) -> np.ndar
     return sums
 
 
-def _powermax_smoothed_mean(pm: PowerMaxForm, j: int, eta: np.ndarray | None,
-                            sample: Sample, plan: SmoothingPlan, h: float,
-                            power: float) -> float | None:
-    """Kernel-smoothed sample mean of (max(0, gap))^power at layer j, tagged
-    ``pm``, or None when the layer must go through quadrature on shifted rows.
+def _powermax_smoothed_mean(spec: CompositeSpec, j: int, eta: np.ndarray | None,
+                            sample: Sample, plan: SmoothingPlan,
+                            h: float) -> float | None:
+    """Kernel-smoothed sample mean of layer j, tagged (max(0, gap))^power by
+    its ``PowerMaxForm``, or None when the layer must go through quadrature
+    on shifted rows.
 
     Needs a unit-slope gap in a one-dimensional sample. The uniform
     kernel has a closed form for any power; the other kernels sum the same
     quadrature over the sorted gaps for integer powers 1.._SORTED_MAX_POWER.
     Their rules are symmetric, so (gap + h z) may be read as (gap - h z)
-    whatever the sign of the slope. A non-finite result names the first
-    sample row whose own smoothed value is non-finite.
+    whatever the sign of the slope. The tag stands in for the layer's
+    evaluator, so the evaluator is run once, at the row of the largest gap,
+    and a value other than the tag's (beyond 1e-12 relative) or an output of
+    another shape raises ConfigError naming the layer. A non-finite result
+    names the first sample row whose own smoothed value is non-finite.
     """
+    pm = spec.layer(j).powermax
+    power = pm.power
     if not pm.unit_slope or sample.m != 1:
         return None
     uniform = plan.kernel.family == "uniform"
@@ -280,6 +286,13 @@ def _powermax_smoothed_mean(pm: PowerMaxForm, j: int, eta: np.ndarray | None,
         return None
     gap = np.asarray(pm.gap(eta, sample.data), dtype=float).reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
+        i = int(np.argmax(gap))
+        value = _eval_layer(spec, j, eta, sample.data[i:i + 1])[0, 0]
+        tagged = np.maximum(0.0, gap[i]) ** power
+        if value != tagged and not abs(value - tagged) <= 1e-12 * abs(tagged):
+            raise ConfigError(
+                f"layer {j} returned {value:.17g} at sample row {i}, but its "
+                f"PowerMaxForm tag gives (max(0, gap))^{power:g} = {tagged:.17g}")
         if uniform:
             mean = _powermax_uniform_mean(gap, power, h)
         else:
@@ -316,9 +329,8 @@ def uniform_kernel_powermax(sample: Sample, u: float, p: float, h: float) -> flo
 
 def _smoothed_layer_mean(spec: CompositeSpec, j: int, eta: np.ndarray | None,
                          sample: Sample, plan: SmoothingPlan, h: float) -> np.ndarray:
-    pm = spec.layer(j).powermax
-    if pm is not None:
-        mean = _powermax_smoothed_mean(pm, j, eta, sample, plan, h, pm.power)
+    if spec.layer(j).powermax is not None:
+        mean = _powermax_smoothed_mean(spec, j, eta, sample, plan, h)
         if mean is not None:
             return np.array([mean])
     rule = plan.kernel.convolution_rule(plan.convolution_nodes)

@@ -2,8 +2,10 @@
 
 Minimizes u -> rho[u, X] over a bracket for the shipped convex families:
 by safeguarded Newton steps over the sorted sample's tail for a
-uniform-kernel plan on the higher-moment family, by deterministic
-golden-section search plus one parabolic refinement otherwise. With a unique
+uniform-kernel plan on the higher-moment family, by Brent's method
+(parabolic interpolation safeguarded by golden-section steps) otherwise,
+which converges superlinearly where the objective is smooth at its optimum
+and falls back to golden-section steps at a kink. With a unique
 minimizer u_hat the limit of sqrt(n)(theta_n - theta) is normal, and its
 variance is the composite delta method C^T Sigma_g C of ``asymptotics``
 at the spec family(u_hat): exact by quadrature, plug-in from a sample, or,
@@ -24,7 +26,9 @@ from .estimators import (Sample, SmoothingPlan, _check_plan, _powermax_uniform_m
                          _smoother, bandwidth, estimate_empirical)
 from .measures import stack_specs
 
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+# golden-section fraction (3 - sqrt 5) / 2 and the rounding floor of a step
+_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
+_EPS = 4.0 * np.finfo(float).eps
 
 OBJECTIVE_SOURCES = ("exact-oracle", "empirical-sample", "mixed-plan")
 
@@ -87,9 +91,10 @@ def default_bracket(sample: Sample, c: float) -> tuple[float, float]:
 class OptimalValueReport:
     """Solver output: minimizer, optimal value, iteration count, flags.
 
-    ``iterations`` counts golden-section steps, or, on the sorted-tail
-    path of ``minimize_scalar``, Newton and bisection steps (0 when an
-    endpoint is returned).
+    ``iterations`` counts the steps of Brent's method, parabolic or
+    golden-section, each one objective evaluation after the first; or, on
+    the sorted-tail path of ``minimize_scalar``, Newton and bisection steps
+    (0 when an endpoint is returned).
     """
 
     u_hat: float
@@ -108,9 +113,10 @@ def minimize_scalar(problem: ScalarProblem, tol: float = 1e-8,
     A mixed plan that smooths a declared higher-moment inner layer
     (``PowerMaxForm.tail_objective``) with the uniform kernel, in a
     one-dimensional sample, is solved by safeguarded Newton steps on the
-    sorted sample (_solve_sorted_tail). Every other problem takes
-    golden-section search to bracket width <= tol, then one parabolic
-    refinement.
+    sorted sample (_solve_sorted_tail). Every other problem takes Brent's
+    method (_brent) to a bracket of width <= tol around the returned point.
+    Both paths evaluate a bracket end that no iterate passed and return the
+    end itself when the optimum is there.
 
     A boundary optimum (objective monotone on the bracket) is reported with
     ``boundary=True``; a flat optimum (more than 1% of a probe grid within
@@ -121,7 +127,7 @@ def minimize_scalar(problem: ScalarProblem, tol: float = 1e-8,
 
     tail = _sorted_tail(problem)
     if tail is None:
-        u_best, f_best, iterations = _golden_section(ev, lo, hi, tol)
+        u_best, f_best, iterations = _brent(ev, lo, hi, tol)
     else:
         u_best, f_best, iterations = _solve_sorted_tail(*tail, lo, hi, tol, ev)
 
@@ -143,36 +149,62 @@ def minimize_scalar(problem: ScalarProblem, tol: float = 1e-8,
                               bool(boundary), bool(flat))
 
 
-def _golden_section(ev, lo: float, hi: float, tol: float):
-    """Golden-section search to bracket width <= tol, then one parabolic
-    refinement through (a, u_best, b): (u, value, iterations)."""
+def _brent(ev, lo: float, hi: float, tol: float):
+    """Brent's method (Brent 1973, ch. 5): successive parabolic
+    interpolation through the three best points, safeguarded by
+    golden-section steps, until the bracket [a, b] around the best point is
+    at most tol wide (plus a rounding term of a few ulps of u); no step is
+    shorter than tol / 4. A bracket end no iterate passed is evaluated last
+    and returned when it is not higher. Returns (u, value, steps), one
+    objective evaluation per step after the first.
+    """
     a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = ev(c), ev(d)
-    iterations = 0
-    while (b - a) > tol and iterations < 400:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = ev(c)
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = ev(x)
+    d = e = 0.0
+    steps = 0
+    while steps < 400:
+        mid = 0.5 * (a + b)
+        tol1 = 0.25 * tol + _EPS * abs(x)
+        if max(x - a, b - x) <= 2.0 * tol1:
+            break
+        # parabola through (v, fv), (w, fw), (x, fx): step p / q from x,
+        # taken when it lands inside (a, b) and moves less than half the
+        # step before last, e; a golden-section step into the larger part
+        # of the bracket otherwise
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        p, q = (-p if q > 0.0 else p), abs(q)
+        if abs(e) > tol1 and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if min(x + d - a, b - x - d) < 2.0 * tol1:
+                d = tol1 if x < mid else -tol1
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = ev(d)
-        iterations += 1
-
-    u_best, f_best = (c, fc) if fc <= fd else (d, fd)
-    fa, fb = ev(a), ev(b)
-    denom = (u_best - a) * (fb - f_best) - (u_best - b) * (fa - f_best)
-    if abs(denom) > 0:
-        num = (u_best - a) ** 2 * (fb - f_best) - (u_best - b) ** 2 * (fa - f_best)
-        u_q = u_best - 0.5 * num / denom
-        if lo < u_q < hi and np.isfinite(u_q):
-            f_q = ev(u_q)
-            if f_q < f_best:
-                u_best, f_best = u_q, f_q
-    return u_best, f_best, iterations
+            e = (b - x) if x < mid else (a - x)
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else (tol1 if d > 0.0 else -tol1))
+        fu = ev(u)
+        steps += 1
+        # a convex objective's minimum is not beyond x from u when fu <= fx,
+        # and not beyond u from x when fu >= fx: a tie bounds it by both
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+        if fu >= fx:
+            a, b = (u, b) if u < x else (a, u)
+        if fu < fx:
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        elif fu <= fw or w == x:
+            v, fv, w, fw = w, fw, u, fu
+        elif fu <= fv or v == x or v == w:
+            v, fv = u, fu
+    for end, moved in ((lo, a != lo), (hi, b != hi)):
+        if not moved:
+            f_end = ev(end)
+            if f_end <= fx:
+                return end, f_end, steps
+    return x, fx, steps
 
 
 def _sorted_tail(problem: ScalarProblem):

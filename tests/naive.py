@@ -4,9 +4,10 @@ These deliberately re-implement the estimators the slow, literal way:
 ``nested_empirical`` evaluates the fully nested empirical sums by explicit
 recursion over sample indices (inner means recomputed inside every outer
 loop iteration), ``stacked_covariance`` builds per-observation outer
-products one row at a time, and ``smoothed_row_mean`` convolves a layer
-with a kernel rule one shifted row at a time. They share no code with the
-library paths they check.
+products one row at a time, ``smoothed_row_mean`` convolves a layer
+with a kernel rule one shifted row at a time, and ``golden_section``
+minimizes a scalar function by the textbook golden-section search. They
+share no code with the library paths they check.
 """
 
 from __future__ import annotations
@@ -67,6 +68,27 @@ def smoothed_row_mean(fn, x: np.ndarray, offsets, weights) -> np.ndarray:
         for off, w in zip(offsets, weights):
             total = total + w * np.asarray(fn(xi + off), dtype=float).reshape(-1)
     return total / x.shape[0]
+
+
+def golden_section(fn, lo: float, hi: float, tol: float):
+    """Golden-section search for the minimum of a unimodal fn on [lo, hi]:
+    shrink the bracket by the golden ratio, keeping the lower of the two
+    interior points, until it is at most tol wide; then return the lowest
+    point evaluated, the bracket ends included, as (u, fn(u))."""
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = fn(d)
+    return min([(c, fc), (d, fd), (lo, fn(lo)), (hi, fn(hi))], key=lambda t: t[1])
 
 
 def mean_spec():

@@ -179,17 +179,29 @@ def test_systemic_runs(sys_json, tmp_path):
     assert doc["limit_variance"] == lim.variance
 
 
-@pytest.mark.parametrize("kernel", [[], ["--kernel", "uniform"]],
+# the empirical solve at n=1000 has c=20 <= sqrt(n), an interior optimum
+@pytest.mark.parametrize("kernel, n", [([], 1000), (["--kernel", "uniform"], 200)],
                          ids=["empirical", "uniform"])
-def test_estimate_higher_order_interval_is_the_normal_interval(kernel, ho_json,
+def test_estimate_higher_order_interval_is_the_normal_interval(kernel, n, ho_json,
                                                                 tmp_path):
     out = tmp_path / "ho_est.json"
     code = run_cli(["estimate", "--measure", ho_json, "--law", f"normal:10,{SQRT3}",
-                    "--n", "200", "--seed", "7", "--out", str(out)] + kernel)
+                    "--n", str(n), "--seed", "7", "--out", str(out)] + kernel)
     assert code == 0
     doc = json.loads(out.read_text())
-    half = float(ndtri(0.975)) * np.sqrt(doc["limit_variance"] / 200)
+    half = float(ndtri(0.975)) * np.sqrt(doc["limit_variance"] / n)
     assert doc["interval"] == [doc["value"] - half, doc["value"] + half]
+
+
+def test_estimate_higher_order_at_the_sample_max_exits_3(ho_json, capsys):
+    # at n=200, c=20 > sqrt(n): the empirical optimum is the sample maximum,
+    # the solver stops just above it, the tail above u_hat is empty and the
+    # gradient of u + c eta^(1/2) is singular at eta = 0
+    code = run_cli(["estimate", "--measure", ho_json, "--law", f"normal:10,{SQRT3}",
+                    "--n", "200", "--seed", "7"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "singular gradient" in err and "layer=1" in err
 
 
 def test_estimate_on_systemic_measure(sys_json, tmp_path):

@@ -344,6 +344,35 @@ def test_quadrature_path_names_sample_row_not_shifted_row():
     assert (err.value.layer, err.value.sample_index) == (2, 1)
 
 
+TAG_MISMATCH = {
+    "two-columns": "layer 2 returned dimension 2, but layer 1 expects eta of dimension 1",
+    "tag-power-3": (r"layer 2 returned 4.40.* at sample row 2, but its PowerMaxForm "
+                    r"tag gives \(max\(0, gap\)\)\^3"),
+}
+
+
+@pytest.mark.parametrize("family", ["uniform", "gaussian"])
+@pytest.mark.parametrize("case", sorted(TAG_MISMATCH))
+def test_powermax_tag_is_checked_against_its_layer(family, case):
+    # a tagged layer's smoothed mean comes from its PowerMaxForm tag, so the
+    # layer's evaluator, run at the row of the largest gap, must agree with
+    # the tag: both specs gave a number from estimate_mixed without the check
+    spec = msd()
+    inner = spec.layer(2)
+    if case == "two-columns":
+        layer = replace(inner, evaluator=lambda eta, x: np.stack(
+            [inner.evaluator(eta, x)] * 2, axis=1))
+    else:
+        layer = replace(inner, powermax=replace(inner.powermax, power=3.0))
+    bad = replace(spec, layers=(spec.layer(1), layer, spec.layer(3)))
+    s = nr.Sample(np.array([9.0, 10.5, 8.0, 12.0, 11.0]))
+    plan = nr.SmoothingPlan(frozenset({2}), nr.KernelSpec(family, 1, 2.0),
+                            nr.BandwidthSchedule("silverman"))
+    assert np.isfinite(nr.estimate_mixed(spec, s, plan).value[0])
+    with pytest.raises(nr.ConfigError, match=TAG_MISMATCH[case]):
+        nr.estimate_mixed(bad, s, plan)
+
+
 # --- uniform_kernel_powermax ----------------------------------------------------
 
 def test_powermax_single_point_at_u():

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import nestedrisk as nr
 
-from naive import smoothed_row_mean
+from naive import golden_section, smoothed_row_mean
 
 
 SQ3 = np.sqrt(3.0)
@@ -67,6 +67,27 @@ def test_boundary_optimum_flagged():
     rep = nr.minimize_scalar(prob)
     assert rep.boundary
     assert rep.u_hat == pytest.approx(2.0, abs=1e-4)
+
+
+def test_probe_grid_point_replaces_a_local_minimum():
+    # the solver assumes a convex objective; on (u^2 - 1)^2 + 0.3 u it stops
+    # in the local minimum near u = 0.96, and the flat-check grid's point
+    # near the global minimum at u = -1.04 is returned in its place
+    from nestedrisk.core import CompositeSpec, DimSignature, LayerFn
+
+    def family(u):
+        value = (u * u - 1.0) ** 2 + 0.3 * u
+        return CompositeSpec(DimSignature(1, 0, (1,)),
+                             (LayerFn(1, lambda x: np.full(x.shape[0], value)),))
+
+    prob = nr.ScalarProblem(family, (-1.5, 2.5), "exact-oracle",
+                            oracle=nr.QuadratureRule([[0.0]], [1.0]))
+    local = nr.minimize_scalar(prob, flat_check_grid=0)
+    assert local.u_hat == pytest.approx(0.96, abs=0.01)
+    rep = nr.minimize_scalar(prob)
+    grid = np.linspace(-1.5, 2.5, 128)
+    assert rep.u_hat == grid[np.argmin([prob.objective()(u) for u in grid])]
+    assert rep.u_hat == pytest.approx(-1.04, abs=0.02) and rep.theta < local.theta
 
 
 def test_nonfinite_objective_raises():
@@ -312,7 +333,7 @@ class CountingFamily:
 
 def without_tail_objective(family):
     """The same family with the tail_objective declaration stripped from
-    its specs, which sends minimize_scalar to golden-section search."""
+    its specs, which sends minimize_scalar to Brent's method."""
     def stripped(u):
         spec = family(u)
         if spec.k != 1:
@@ -323,30 +344,33 @@ def without_tail_objective(family):
     return stripped
 
 
-def newton_and_golden(family, bracket, s, plan, **kwargs):
+def newton_and_brent(family, bracket, s, plan, **kwargs):
     counted = CountingFamily(family)
     newton = nr.minimize_scalar(nr.ScalarProblem(counted, bracket, "mixed-plan",
                                                  sample=s, plan=plan), **kwargs)
-    golden = nr.minimize_scalar(nr.ScalarProblem(without_tail_objective(family),
-                                                 bracket, "mixed-plan", sample=s,
-                                                 plan=plan), **kwargs)
+    brent = nr.minimize_scalar(nr.ScalarProblem(without_tail_objective(family),
+                                                bracket, "mixed-plan", sample=s,
+                                                plan=plan), **kwargs)
     # the Newton path builds no spec beyond the probes and the flat grid
     assert counted.calls <= 2 + kwargs.get("flat_check_grid", 128)
-    return newton, golden
+    return newton, brent
 
 
-def assert_agrees_with_golden(newton, golden, bracket):
-    assert newton.boundary == golden.boundary
-    if golden.boundary:
-        # golden-section stops within tol of the end; the end itself is lower
+def assert_agrees_with_brent(newton, brent, bracket):
+    assert newton.boundary == brent.boundary
+    if brent.boundary:
+        # Newton returns the end itself; Brent's method may stop within tol
+        # of it, where the objective is not lower
         assert newton.u_hat in bracket
-        assert newton.theta <= golden.theta
+        assert newton.theta <= brent.theta
     else:
-        assert newton.theta == pytest.approx(golden.theta, rel=1e-9)
+        assert newton.theta == pytest.approx(brent.theta, rel=1e-9)
 
 
-# J={1,2} golden-section smooths the constant outer layer on n * 64 shifted
-# rows, so it stops at n=5000
+# The general path these tests compare with is Brent's method, which
+# test_minimize_scalar_matches_golden_section checks against golden-section
+# search. J={1,2} smooths the constant outer layer on n * 64 shifted rows,
+# so it stops at n=5000
 CASES = ([(n, p, rule, "2") for n in (2, 30, 200, 5000, 20000)
           for p in (1.5, 2.0, 3.0, 5.0) for rule in SCHEDULES]
          + [(n, p, rule, "12") for n, rule in ((2, "power"), (30, "silverman"),
@@ -360,9 +384,9 @@ def test_sorted_tail_newton_matches_golden_section(n, p, rule, J):
     s = nr.Sample(x)
     plan = nr.SmoothingPlan(frozenset(int(j) for j in J), UNIFORM, SCHEDULES[rule])
     bracket = nr.default_bracket(s, 20.0)
-    newton, golden = newton_and_golden(ho_family(20.0, p), bracket, s, plan,
-                                       flat_check_grid=0)
-    assert_agrees_with_golden(newton, golden, bracket)
+    newton, brent = newton_and_brent(ho_family(20.0, p), bracket, s, plan,
+                                     flat_check_grid=0)
+    assert_agrees_with_brent(newton, brent, bracket)
 
 
 @pytest.mark.parametrize("data", ["ties", "shifted"])
@@ -376,10 +400,10 @@ def test_sorted_tail_newton_on_ties_and_shifted_data(data):
     for rule in SCHEDULES:
         plan = nr.SmoothingPlan(frozenset({2}), UNIFORM, SCHEDULES[rule])
         bracket = nr.default_bracket(s, 20.0)
-        newton, golden = newton_and_golden(ho_family(), bracket, s, plan,
-                                           flat_check_grid=0)
-        assert not golden.boundary
-        assert_agrees_with_golden(newton, golden, bracket)
+        newton, brent = newton_and_brent(ho_family(), bracket, s, plan,
+                                         flat_check_grid=0)
+        assert not brent.boundary
+        assert_agrees_with_brent(newton, brent, bracket)
 
 
 def test_sorted_tail_newton_returns_the_bracket_end_at_boundary_optima():
@@ -391,11 +415,11 @@ def test_sorted_tail_newton_returns_the_bracket_end_at_boundary_optima():
         plan=plan), flat_check_grid=0)
     for bracket, end in (((x.min() - 1.0, x.min() - 0.5), 1),
                          ((interior.u_hat + 0.5, interior.u_hat + 3.0), 0)):
-        newton, golden = newton_and_golden(ho_family(), bracket, s, plan,
-                                           flat_check_grid=0)
-        assert golden.boundary
+        newton, brent = newton_and_brent(ho_family(), bracket, s, plan,
+                                         flat_check_grid=0)
+        assert brent.boundary
         assert newton.u_hat == bracket[end]
-        assert_agrees_with_golden(newton, golden, bracket)
+        assert_agrees_with_brent(newton, brent, bracket)
 
 
 @given(n=st.integers(2, 400), p=st.floats(1.2, 6.0), c=st.floats(1.5, 60.0),
@@ -406,9 +430,9 @@ def test_sorted_tail_newton_matches_golden_section_property(n, p, c, loc, scale,
     s = nr.Sample(loc + scale * np.random.default_rng(seed).standard_t(5, n))
     plan = nr.SmoothingPlan(frozenset({2}), UNIFORM, SCHEDULES[rule])
     bracket = nr.default_bracket(s, c)
-    newton, golden = newton_and_golden(ho_family(c, p), bracket, s, plan,
-                                       flat_check_grid=0)
-    assert_agrees_with_golden(newton, golden, bracket)
+    newton, brent = newton_and_brent(ho_family(c, p), bracket, s, plan,
+                                     flat_check_grid=0)
+    assert_agrees_with_brent(newton, brent, bracket)
 
 
 def test_flat_check_grid_evaluates_the_public_objective_after_newton():
@@ -416,9 +440,9 @@ def test_flat_check_grid_evaluates_the_public_objective_after_newton():
     s = nr.Sample(x)
     plan = nr.SmoothingPlan(frozenset({2}), UNIFORM, SCHEDULES["silverman"])
     bracket = nr.default_bracket(s, 20.0)
-    newton, golden = newton_and_golden(ho_family(), bracket, s, plan)
-    assert not newton.flat and not golden.flat
-    assert_agrees_with_golden(newton, golden, bracket)
+    newton, brent = newton_and_brent(ho_family(), bracket, s, plan)
+    assert not newton.flat and not brent.flat
+    assert_agrees_with_brent(newton, brent, bracket)
     fn = nr.ScalarProblem(ho_family(), bracket, "mixed-plan", sample=s,
                           plan=plan).objective()
     assert min(fn(u) for u in np.linspace(*bracket, 128)) >= newton.theta
@@ -432,8 +456,8 @@ def test_undispatched_problems_ignore_the_declaration(case):
     plan = nr.SmoothingPlan(frozenset({1} if case == "J1" else {2}), kernel,
                             SCHEDULES["silverman"])
     fam = ho_family()
-    reports = []
-    for family in (fam, without_tail_objective(fam)):
+    reports, builds = [], []
+    for family in (CountingFamily(fam), CountingFamily(without_tail_objective(fam))):
         if case == "exact":
             prob = nr.ScalarProblem(family, (10 - 6 * SQ3, 10 + 12 * SQ3),
                                     "exact-oracle", oracle=nr.Normal(10.0, SQ3).oracle())
@@ -444,8 +468,11 @@ def test_undispatched_problems_ignore_the_declaration(case):
             prob = nr.ScalarProblem(family, nr.default_bracket(s, 20.0),
                                     "mixed-plan", sample=s, plan=plan)
         reports.append(nr.minimize_scalar(prob, flat_check_grid=16))
+        builds.append(family.calls)
     assert reports[0] == reports[1]
-    assert reports[0].iterations > 30       # golden-section steps
+    # Brent's method builds the same specs for both; the Newton path would
+    # build none beyond its two probes and the flat grid
+    assert builds[0] == builds[1] > 2 + 16
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -476,6 +503,66 @@ def test_sorted_tail_newton_error_paths():
     with pytest.raises(nr.ConfigError):
         nr.minimize_scalar(bad)
     assert fam.calls == 1
+
+
+# --- Brent's method ---------------------------------------------------------------
+
+def brent_problem(kind, n, family):
+    """A higher-order problem (c=20, p=2) that minimize_scalar solves by
+    Brent's method: over the exact oracle, or over an n-point sample,
+    empirical or with the inner layer smoothed by a gaussian or
+    epanechnikov kernel at h = n^(-0.51)."""
+    if kind == "exact":
+        return nr.ScalarProblem(family, (10 - 6 * SQ3, 10 + 12 * SQ3), "exact-oracle",
+                                oracle=nr.Normal(10.0, SQ3).oracle())
+    s = nr.Sample(np.random.default_rng(n).normal(10.0, SQ3, n))
+    if kind == "empirical":
+        return nr.ScalarProblem(family, nr.default_bracket(s, 20.0),
+                                "empirical-sample", sample=s)
+    plan = nr.SmoothingPlan(frozenset({2}), nr.KernelSpec(kind, 1, 2.0),
+                            SCHEDULES["power"])
+    return nr.ScalarProblem(family, nr.default_bracket(s, 20.0), "mixed-plan",
+                            sample=s, plan=plan)
+
+
+@pytest.mark.parametrize("kind, n", [("exact", 0)] + [
+    (kind, n) for kind in ("empirical", "gaussian", "epanechnikov")
+    for n in (30, 200, 5000, 20000)])
+def test_minimize_scalar_matches_golden_section(kind, n):
+    # the empirical objectives at n in {30, 200} (c > sqrt(n)) have their
+    # optimum on the kink at max X, where Brent's method takes golden steps
+    prob = brent_problem(kind, n, ho_family())
+    rep = nr.minimize_scalar(prob, flat_check_grid=0)
+    _, theta = golden_section(prob.objective(), *prob.bracket, 1e-12)
+    assert rep.theta == pytest.approx(theta, rel=1e-9)
+
+
+@pytest.mark.parametrize("mean, var", [(10.0, 3.0), (20.0, 5.0)])
+def test_exact_solve_is_within_tol_of_the_root_of_the_derivative(mean, var):
+    # F'(u) = 1 - c E[(X - u)_+] / ||(X - u)_+||_2 over the oracle's nodes,
+    # bisected to rounding; golden-section search stopped 3.2e-8 and 1.5e-7
+    # from it, which moved the exact limit variance at u_hat by 7.7e-9 and
+    # 2.7e-8 relative
+    c = 20.0
+    prob = exact_problem(mean, np.sqrt(var), c=c, p=2.0)
+    x, w = prob.oracle.nodes[:, 0], prob.oracle.weights
+
+    def slope(u):
+        gap = np.maximum(0.0, x - u)
+        return 1.0 - c * (w @ gap) / np.sqrt(w @ gap ** 2)
+
+    lo, hi = mean, mean + 6.0 * np.sqrt(var)
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
+    assert nr.minimize_scalar(prob).u_hat == pytest.approx(lo, abs=1e-8)
+
+
+def test_empirical_solve_at_n20000_builds_at_most_30_specs():
+    # golden-section search built 52, whatever the objective's shape
+    family = CountingFamily(ho_family())
+    nr.minimize_scalar(brent_problem("empirical", 20000, family), flat_check_grid=0)
+    assert family.calls <= 30
 
 
 # --- sample-based behavior -----------------------------------------------------------
