@@ -15,8 +15,7 @@ import nestedrisk as nr
 params = nr.MeasureParams(kappa=0.5, p=2.0)
 spec = nr.make_mean_semideviation(params)
 print(f"spec: {spec.label}")
-print(f"  layers: {len(spec.layers)}, dims: {spec.signature.dims}, "
-      f"sample dim: {spec.signature.m}")
+print(f"  layers: {len(spec.layers)}, dims: {spec.dims}, sample dim: {spec.m}")
 
 # --- exact evaluation against several laws ------------------------------------
 
@@ -53,9 +52,8 @@ print(f"\nunit perturbation of the innermost layer: xi_1 = {xi[0]:.6f}")
 
 eps = 1e-6
 from nestedrisk.core import CompositeSpec, LayerFn
-bumped = CompositeSpec(spec.signature,
-                       spec.layers[:2] + (LayerFn(3, lambda x: x[:, 0] + eps),),
-                       "bumped")
+bumped = CompositeSpec(spec.m, spec.dims,
+                       spec.layers[:2] + (LayerFn(lambda x: x[:, 0] + eps),), "bumped")
 fd = (nr.eval_exact_chain(bumped, oracle).value[0] - chain_n.value[0]) / eps
 print(f"finite-difference check:                  {fd:.6f}")
 
@@ -63,7 +61,7 @@ print(f"finite-difference check:                  {fd:.6f}")
 # estimates it over its empirical measure, the rule with weights 1/n
 s = nr.sample(nr.SamplerConfig(nr.Normal(10.0, np.sqrt(3.0)), 0), 50_000)
 est = nr.estimate_empirical(spec, s)
-c2 = nr.propagate_direction(spec, est.chain,
+c2 = nr.propagate_direction(spec, est,
                             nr.QuadratureRule(s.data, np.full(s.n, 1.0 / s.n)),
                             (zero, zero, np.array([1.0])))
 print(f"sample chain-matrix estimate C_2^T:       "

@@ -85,4 +85,4 @@ print(f"  replication sd = {summary.std:.4f}")
 stacked = nr.stack_specs([fam(repX.u_hat),
                           nr.make_mean_semideviation(nr.MeasureParams(0.5, 2.0))])
 print(f"\nstacking a depth-1 and a depth-2 component pads with identities: "
-      f"k = {stacked.signature.k}, dims = {stacked.signature.dims}")
+      f"k = {stacked.k}, dims = {stacked.dims}")

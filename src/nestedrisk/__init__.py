@@ -8,13 +8,13 @@ intervals, and validating the normal limits by seeded Monte Carlo.
 
 from .asymptotics import (AsymptoticReport, asymptotic_report, confidence_interval,
                           exact_limit_variance, propagate_direction)
-from .core import (CompositeSpec, DimSignature, EtaChain, LayerFn, PowerMaxForm,
-                   QuadratureRule, eval_exact_chain)
+from .core import (CompositeSpec, EtaChain, LayerFn, PowerMaxForm, QuadratureRule,
+                   eval_exact_chain)
 from .errors import ConfigError, EvaluationError
-from .estimators import (BandwidthSchedule, EstimateReport, IdentityCheck,
-                         KernelSpec, Sample, SmoothingPlan, bandwidth,
-                         check_strong_identity, estimate_empirical,
-                         estimate_mixed, uniform_kernel_powermax)
+from .estimators import (BandwidthSchedule, IdentityCheck, KernelSpec, Sample,
+                         SmoothingPlan, bandwidth, check_strong_identity,
+                         estimate_empirical, estimate_mixed,
+                         uniform_kernel_powermax)
 from .harness import (DistributionSummary, Histogram, Normal, ProductLaw,
                       Reference, ReplicationTable, SamplerConfig, TwoPoint,
                       Uniform, format_float, freedman_diaconis_bins,

@@ -23,8 +23,7 @@ from scipy.special import ndtri
 from .core import (CompositeSpec, EtaChain, QuadratureRule, _chain, _check_points,
                    _eval_layer, layer_jacobian)
 from .errors import ConfigError, EvaluationError
-from .estimators import (EstimateReport, Sample, SmoothingPlan, _smoothed_layer_mean,
-                         bandwidth)
+from .estimators import Sample, SmoothingPlan, _smoothed_layer_mean, bandwidth
 
 # Eigenvalues of Sigma_hat in (-PSD_TOL * trace, 0) are treated as roundoff
 # and clipped to zero; anything lower is an error.
@@ -74,7 +73,7 @@ def _sigma(spec: CompositeSpec, x: np.ndarray, chain: EtaChain,
     if not np.all(np.isfinite(full)):
         # an entry overflows only where a variance on its row or column does
         bad = np.flatnonzero(~np.isfinite(np.diag(full)))[0]
-        offsets = np.concatenate([[0], np.cumsum(spec.signature.dims)])
+        offsets = np.concatenate([[0], np.cumsum(spec.dims)])
         raise EvaluationError("covariance of the layer evaluations is non-finite "
                               "(overflow)",
                               layer=int(np.searchsorted(offsets, bad, side="right")))
@@ -124,7 +123,7 @@ def _limit_cov(spec: CompositeSpec, x: np.ndarray, chain: EtaChain,
 
     Raises EvaluationError naming the layer whose expected Jacobian, or
     else whose variance, is non-finite."""
-    running = np.eye(spec.signature.m0)
+    running = np.eye(spec.m0)
     blocks = [running]
     for jmean in _jacobian_means(spec, chain, x, weights):
         running = running @ jmean
@@ -178,27 +177,26 @@ def propagate_direction(spec: CompositeSpec, chain: EtaChain,
     if len(direction) != spec.k + 1:
         raise ConfigError(f"direction must have {spec.k + 1} entries")
     xi = np.asarray(direction[-1], dtype=float).reshape(-1)
-    if xi.shape[0] != spec.signature.dims[-1]:
+    if xi.shape[0] != spec.dims[-1]:
         raise ConfigError("d_{k+1} has wrong dimension")
     jmeans = _jacobian_means(spec, chain, oracle.nodes, oracle.weights)
     for j in range(spec.k, 0, -1):
         eta_in = chain.input_for(j)
         dj = direction[j - 1]
         dj_val = np.asarray(dj(eta_in) if callable(dj) else dj, dtype=float).reshape(-1)
-        if dj_val.shape[0] != spec.signature.dims[j - 1]:
+        if dj_val.shape[0] != spec.dims[j - 1]:
             raise ConfigError(f"direction entry {j} has wrong dimension")
         xi = jmeans[j - 1] @ xi + dj_val
     return xi
 
 
-def asymptotic_report(spec: CompositeSpec, sample: Sample,
-                      estimate: EstimateReport, *,
+def asymptotic_report(spec: CompositeSpec, sample: Sample, estimate: EtaChain, *,
                       level: float | None = None) -> AsymptoticReport:
     """Limit covariance and intervals of a plug-in estimate: C^T Sigma_g C
     over the sample (1/n covariance) at the estimate's own chain."""
     if sample.n < 2:
         raise ConfigError("covariance needs at least two observations")
-    cov = _limit_cov(spec, sample.data, estimate.chain)
+    cov = _limit_cov(spec, sample.data, estimate)
     intervals = None if level is None \
         else confidence_interval(estimate.value, cov, sample.n, level)
     return AsymptoticReport(cov, intervals)

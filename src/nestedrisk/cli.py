@@ -25,8 +25,7 @@ from .estimators import (BandwidthSchedule, KernelSpec, Sample, SmoothingPlan,
 from .harness import (ProductLaw, Reference, ReplicationTable, SamplerConfig,
                       dumps_json, parse_law, run_replications, sample,
                       summarize_distribution, summary_json)
-from .measures import (MeasureConfig, parse_measure, systemic_limit,
-                       systemic_value, SystemicSpec)
+from .measures import MeasureConfig, parse_measure, systemic_limit, systemic_value
 from .optimize import (ScalarProblem, default_bracket, minimize_scalar,
                        optimal_value_clt_variance)
 
@@ -202,8 +201,7 @@ def _systemic_pieces(mcfg: MeasureConfig, law):
     if law.dimension != ell:
         raise ConfigError(
             f"systemic law must have one coordinate per component ({ell})")
-    return (mcfg.components, getattr(law, "laws", (law,)),
-            SystemicSpec(mcfg.params.weights, mcfg.outer))
+    return mcfg.components, getattr(law, "laws", (law,)), mcfg.systemic
 
 
 def cmd_estimate(args) -> int:
@@ -233,10 +231,10 @@ def cmd_estimate(args) -> int:
                "config": config}
     else:
         spec = _scalar_build(mcfg)
-        report = estimate_mixed(spec, s, plan) if plan is not None \
+        chain = estimate_mixed(spec, s, plan) if plan is not None \
             else estimate_empirical(spec, s)
-        arep = asymptotic_report(spec, s, report, level=args.level)
-        doc = {"value": report.value.tolist(),
+        arep = asymptotic_report(spec, s, chain, level=args.level)
+        doc = {"value": chain.value.tolist(),
                "limit_covariance": arep.limit_cov.tolist(),
                "level": args.level,
                "interval": [list(iv) for iv in arep.intervals],

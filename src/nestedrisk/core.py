@@ -42,43 +42,14 @@ MAX_RULE_NODES = 10 ** 7
 
 
 @dataclass(frozen=True)
-class DimSignature:
-    """Dimension bookkeeping: sample dim m, depth k, output dims per layer.
-
-    ``dims`` lists (m0, m1, ..., mk); ``dims[j-1]`` is the output dimension
-    of layer j and ``dims[j]`` its eta-input dimension (j <= k). m0 is the
-    functional's output dimension (1 for scalar functionals).
-    """
-
-    m: int
-    k: int
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ConfigError(f"sample dimension m must be >= 1, got {self.m}")
-        if self.k < 0:
-            raise ConfigError(f"number of inner layers k must be >= 0, got {self.k}")
-        if len(self.dims) != self.k + 1:
-            raise ConfigError(
-                f"dims must have k+1={self.k + 1} entries, got {len(self.dims)}")
-        if any(d < 1 for d in self.dims):
-            raise ConfigError(f"all layer dimensions must be >= 1, got {self.dims}")
-
-    @property
-    def m0(self) -> int:
-        return self.dims[0]
-
-
-@dataclass(frozen=True)
 class PowerMaxForm:
     """Marks a layer of the form (max(0, gap))^power.
 
     ``gap(eta, x)`` returns the scalar gap per sample row (``eta`` is None
     for the innermost layer). ``unit_slope`` records that the gap is affine
     in a one-dimensional sample with slope +-1, which is what the uniform
-    kernel closed form requires. ``tail_objective`` = (u, c) declares that
-    the layer is the inner layer of a two-level spec whose value is
+    kernel closed form requires. ``tail_objective`` = c declares that the
+    layer is the inner layer of a two-level spec whose value is
     u + c * eta^(1/power) over the gap x - u (the higher-moment objective
     at decision u), which lets a solver in u work on the sorted sample.
     """
@@ -86,19 +57,19 @@ class PowerMaxForm:
     power: float
     gap: Callable[[np.ndarray | None, np.ndarray], np.ndarray]
     unit_slope: bool = True
-    tail_objective: tuple[float, float] | None = None
+    tail_objective: float | None = None
 
 
 @dataclass(frozen=True)
 class LayerFn:
-    """One layer of the composition.
+    """One layer of the composition; its position in the spec's ``layers``
+    is its index.
 
     ``evaluator(eta, x)`` for layers 1..k, ``evaluator(x)`` for layer k+1.
     ``jacobian_eta(eta, x)`` returns shape (n, out_dim, eta_dim); absent for
     the innermost layer.
     """
 
-    index: int
     evaluator: Callable
     jacobian_eta: Callable | None = None
     powermax: PowerMaxForm | None = None
@@ -106,31 +77,39 @@ class LayerFn:
 
 @dataclass(frozen=True)
 class CompositeSpec:
-    """A composite functional: dimension signature plus ordered layers f1..f_{k+1}.
+    """A composite functional: sample dimension m, layer dimensions
+    ``dims`` = (m0, m1, ..., mk) and the ordered layers f1..f_{k+1}.
 
-    Layer j's output dimension is checked against ``dims[j-1]`` wherever
-    the layer is evaluated (``_eval_layer``), not here.
+    ``dims[j-1]`` is the output dimension of layer j and ``dims[j]`` its
+    eta-input dimension (j <= k); m0 is the functional's output dimension
+    (1 for scalar functionals). Layer j's output dimension is checked
+    against ``dims[j-1]`` wherever the layer is evaluated (``_eval_layer``),
+    not here.
     """
 
-    signature: DimSignature
+    m: int
+    dims: tuple[int, ...]
     layers: tuple[LayerFn, ...]
     label: str = ""
 
     def __post_init__(self):
-        if len(self.layers) != self.signature.k + 1:
+        if self.m < 1:
+            raise ConfigError(f"sample dimension m must be >= 1, got {self.m}")
+        if not self.dims or any(d < 1 for d in self.dims):
             raise ConfigError(
-                f"expected {self.signature.k + 1} layers, got {len(self.layers)}")
-        for j, layer in enumerate(self.layers, 1):
-            if layer.index != j:
-                raise ConfigError(f"layer at position {j} carries index {layer.index}")
+                f"dims must list m0, ..., mk, each >= 1, got {self.dims}")
+        if len(self.layers) != len(self.dims):
+            raise ConfigError(
+                f"expected {len(self.dims)} layers, got {len(self.layers)}")
 
     @property
     def k(self) -> int:
-        return self.signature.k
+        """Number of inner layers."""
+        return len(self.dims) - 1
 
     @property
-    def m(self) -> int:
-        return self.signature.m
+    def m0(self) -> int:
+        return self.dims[0]
 
     def layer(self, j: int) -> LayerFn:
         """Layer by 1-based index j in 1..k+1."""
@@ -174,7 +153,9 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class EtaChain:
-    """Per-layer exact means, innermost first: (eta_{k+1}, ..., eta_1)."""
+    """Per-layer means, innermost first: (eta_{k+1}, ..., eta_1). The means
+    are exact (``eval_exact_chain``), plug-in (``estimate_empirical``) or
+    partly kernel-smoothed (``estimate_mixed``)."""
 
     eta: tuple[np.ndarray, ...]
 
@@ -202,7 +183,7 @@ def _eval_layer(spec: CompositeSpec, j: int, eta: np.ndarray | None,
     out = np.asarray(out, dtype=float)
     if out.ndim == 1:
         out = out[:, None]
-    expected = spec.signature.dims[j - 1]
+    expected = spec.dims[j - 1]
     if out.shape != (x.shape[0], expected):
         if out.ndim == 2 and out.shape[0] == x.shape[0]:
             raise ConfigError(
@@ -278,11 +259,11 @@ def layer_jacobian(spec: CompositeSpec, j: int, eta: np.ndarray,
     if layer.jacobian_eta is not None:
         jac = np.asarray(layer.jacobian_eta(eta, x), dtype=float)
         n = x.shape[0]
-        out_dim, eta_dim = spec.signature.dims[j - 1], spec.signature.dims[j]
+        out_dim, eta_dim = spec.dims[j - 1], spec.dims[j]
         return np.broadcast_to(jac, (n, out_dim, eta_dim)).copy() \
             if jac.shape != (n, out_dim, eta_dim) else jac
     eta = np.asarray(eta, dtype=float)
-    out_dim, eta_dim = spec.signature.dims[j - 1], spec.signature.dims[j]
+    out_dim, eta_dim = spec.dims[j - 1], spec.dims[j]
     jac = np.empty((x.shape[0], out_dim, eta_dim))
     for c in range(eta_dim):
         h = max(FD_STEP, FD_STEP * abs(float(eta[c])))

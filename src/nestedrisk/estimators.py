@@ -176,23 +176,15 @@ class Sample:
         return float(np.sqrt(np.mean(np.var(self.data, axis=0, ddof=1))))
 
 
-@dataclass(frozen=True)
-class EstimateReport:
-    """Plug-in estimate: value (eta_1 hat) and the full chain."""
-
-    value: np.ndarray
-    chain: EtaChain
-
-
-def estimate_empirical(spec: CompositeSpec, sample: Sample) -> EstimateReport:
-    """Fully empirical plug-in estimate.
+def estimate_empirical(spec: CompositeSpec, sample: Sample) -> EtaChain:
+    """Fully empirical plug-in estimate: the chain of per-layer sample
+    means, whose ``value`` is eta_1 hat.
 
     Computes the per-layer sample means innermost first; because inner sums
     do not depend on the outer summation index, this equals the fully nested
     empirical sums evaluated directly.
     """
-    chain = _chain(spec, sample.data)
-    return EstimateReport(chain.value, chain)
+    return _chain(spec, sample.data)
 
 
 # Largest power the sorted branch expands binomially; the smoothed second
@@ -362,15 +354,15 @@ def _smoother(sample: Sample, plan: SmoothingPlan):
 
 
 def estimate_mixed(spec: CompositeSpec, sample: Sample,
-                   plan: SmoothingPlan) -> EstimateReport:
-    """Mixed plug-in estimate: smoothed means at layers in plan.J, empirical
-    means elsewhere. With empty J the result is exactly estimate_empirical."""
+                   plan: SmoothingPlan) -> EtaChain:
+    """Mixed plug-in estimate: the chain of smoothed means at layers in
+    plan.J, empirical means elsewhere. With empty J the result is exactly
+    estimate_empirical."""
     smooth = None
     if plan.J:
         _check_plan(spec, sample, plan)
         smooth = _smoother(sample, plan)
-    chain = _chain(spec, sample.data, smooth=smooth)
-    return EstimateReport(chain.value, chain)
+    return _chain(spec, sample.data, smooth=smooth)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import counter_normal
-from .core import CompositeSpec, DimSignature, LayerFn, PowerMaxForm
+from .core import CompositeSpec, LayerFn, PowerMaxForm
 from .errors import ConfigError, EvaluationError
 
 
@@ -31,14 +31,12 @@ from .errors import ConfigError, EvaluationError
 class MeasureParams:
     """Parameters shared by the measure factories.
 
-    ``c`` is the higher-order scale (the reciprocal tail level, c = 1/alpha);
-    ``weights`` is the systemic probability vector.
+    ``c`` is the higher-order scale (the reciprocal tail level, c = 1/alpha).
     """
 
     kappa: float = 0.5
     p: float = 2.0
     c: float = 20.0
-    weights: tuple[float, ...] | None = None
     label: str = ""
 
     def __post_init__(self):
@@ -48,10 +46,6 @@ class MeasureParams:
             raise ConfigError("order p must be >= 1")
         if self.c <= 1.0:
             raise ConfigError("higher-order scale c must exceed 1")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-                raise ConfigError("weights must be nonnegative and sum to 1")
 
 
 def make_mean_semideviation(params: MeasureParams) -> CompositeSpec:
@@ -79,12 +73,12 @@ def make_mean_semideviation(params: MeasureParams) -> CompositeSpec:
         return np.full((x.shape[0], 1, 1), val)
 
     layers = (
-        LayerFn(1, f1, f1_jac),
-        LayerFn(2, f2, f2_jac, powermax=PowerMaxForm(p, lambda eta, x: eta[0] - x[:, 0])),
-        LayerFn(3, f3),
+        LayerFn(f1, f1_jac),
+        LayerFn(f2, f2_jac, powermax=PowerMaxForm(p, lambda eta, x: eta[0] - x[:, 0])),
+        LayerFn(f3),
     )
     label = params.label or f"mean_semideviation(kappa={kappa:g}, p={p:g})"
-    return CompositeSpec(DimSignature(1, 2, (1, 1, 1)), layers, label)
+    return CompositeSpec(1, (1, 1, 1), layers, label)
 
 
 @dataclass(frozen=True)
@@ -103,10 +97,7 @@ class HigherOrderFamily:
         if p == 1.0:
             def f1_plain(x):
                 return u + c * np.maximum(0.0, x[:, 0] - u)
-            return CompositeSpec(
-                DimSignature(1, 0, (1,)),
-                (LayerFn(1, f1_plain),),
-                label + f" @u={u:g}")
+            return CompositeSpec(1, (1,), (LayerFn(f1_plain),), label + f" @u={u:g}")
 
         def f2(x):
             return np.maximum(0.0, x[:, 0] - u) ** p
@@ -119,11 +110,11 @@ class HigherOrderFamily:
             return np.full((x.shape[0], 1, 1), val)
 
         layers = (
-            LayerFn(1, f1, f1_jac),
-            LayerFn(2, f2, powermax=PowerMaxForm(p, lambda eta, x: x[:, 0] - u,
-                                                 tail_objective=(u, c))),
+            LayerFn(f1, f1_jac),
+            LayerFn(f2, powermax=PowerMaxForm(p, lambda eta, x: x[:, 0] - u,
+                                              tail_objective=c)),
         )
-        return CompositeSpec(DimSignature(1, 1, (1, 1)), layers, label + f" @u={u:g}")
+        return CompositeSpec(1, (1, 1), layers, label + f" @u={u:g}")
 
 
 def make_higher_order_family(params: MeasureParams) -> HigherOrderFamily:
@@ -167,13 +158,13 @@ class PortfolioFamily:
 
         unit = self.m == 1 and abs(abs(u[0]) - 1.0) < 1e-15
         layers = (
-            LayerFn(1, f1, f1_jac),
-            LayerFn(2, f2, f2_jac, powermax=PowerMaxForm(
+            LayerFn(f1, f1_jac),
+            LayerFn(f2, f2_jac, powermax=PowerMaxForm(
                 p, lambda eta, x: eta[0] - x @ u, unit_slope=unit)),
-            LayerFn(3, f3),
+            LayerFn(f3),
         )
         label = self.label or f"portfolio_semideviation(kappa={kappa:g}, p={p:g})"
-        return CompositeSpec(DimSignature(self.m, 2, (1, 1, 1)), layers, label)
+        return CompositeSpec(self.m, (1, 1, 1), layers, label)
 
 
 def make_portfolio_semideviation(params: MeasureParams, m: int) -> PortfolioFamily:
@@ -233,7 +224,7 @@ class SystemicSpec:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):
             raise ConfigError("weights must be nonnegative and sum to 1")
 
     @property
@@ -241,7 +232,7 @@ class SystemicSpec:
         return np.asarray(self.weights, dtype=float)
 
 
-def _identity_layer(index: int) -> LayerFn:
+def _identity_layer() -> LayerFn:
     def ev(eta, x):
         return np.broadcast_to(np.asarray(eta, dtype=float).reshape(1, -1),
                                (x.shape[0], np.size(eta))).copy()
@@ -250,7 +241,7 @@ def _identity_layer(index: int) -> LayerFn:
         d = np.size(eta)
         return np.broadcast_to(np.eye(d), (x.shape[0], d, d)).copy()
 
-    return LayerFn(index, ev, jac)
+    return LayerFn(ev, jac)
 
 
 def stack_specs(components: Sequence[CompositeSpec]) -> CompositeSpec:
@@ -264,17 +255,15 @@ def stack_specs(components: Sequence[CompositeSpec]) -> CompositeSpec:
     comps = list(components)
     if not comps:
         raise ConfigError("at least one component is required")
-    k = max(c.signature.k for c in comps)
-    m_total = sum(c.signature.m for c in comps)
-    x_off = np.concatenate([[0], np.cumsum([c.signature.m for c in comps])])
+    k = max(c.k for c in comps)
+    x_off = np.concatenate([[0], np.cumsum([c.m for c in comps])])
 
     padded_layers: list[list[LayerFn]] = []
     padded_dims: list[tuple[int, ...]] = []
     for comp in comps:
-        pad = k - comp.signature.k
-        padded_layers.append([_identity_layer(j + 1) for j in range(pad)]
-                             + list(comp.layers))
-        padded_dims.append((comp.signature.m0,) * pad + comp.signature.dims)
+        pad = k - comp.k
+        padded_layers.append([_identity_layer()] * pad + list(comp.layers))
+        padded_dims.append((comp.m0,) * pad + comp.dims)
 
     dims = tuple(int(sum(pd[j] for pd in padded_dims)) for j in range(k + 1))
     eta_off = [np.concatenate([[0], np.cumsum([pd[j] for pd in padded_dims])])
@@ -318,15 +307,15 @@ def stack_specs(components: Sequence[CompositeSpec]) -> CompositeSpec:
             return full
 
         if inner:
-            return LayerFn(j, lambda x: ev(x))
+            return LayerFn(lambda x: ev(x))
         # a component without a Jacobian leaves the stacked layer without
         # one, so it takes central differences as the component alone would
         declared = all(comp[j - 1].jacobian_eta is not None for comp in padded_layers)
-        return LayerFn(j, ev, jac if declared else None)
+        return LayerFn(ev, jac if declared else None)
 
     layers = tuple(make_layer(j) for j in range(1, k + 2))
     label = " | ".join(c.label for c in comps)
-    return CompositeSpec(DimSignature(m_total, k, dims), layers, label)
+    return CompositeSpec(int(x_off[-1]), dims, layers, label)
 
 
 def systemic_value(estimates, spec: SystemicSpec) -> float:
@@ -396,18 +385,22 @@ def systemic_limit(spec: SystemicSpec, limit_cov, value, samples: int,
 
 @dataclass(frozen=True)
 class MeasureConfig:
-    """Parsed declarative measure description (the CLI's exchange format)."""
+    """Parsed declarative measure description (the CLI's exchange format).
+
+    A systemic measure carries its component configs and its ``systemic``
+    aggregation; its ``params`` are the defaults and unused.
+    """
 
     kind: str
     params: MeasureParams
     m: int = 1
     u: tuple[float, ...] | None = None
     components: tuple["MeasureConfig", ...] = ()
-    outer: OuterAggregation | None = None
+    systemic: SystemicSpec | None = None
 
     def build(self):
-        """Instantiate the configured object: a spec, a family, or a
-        (SystemicSpec-free) bundle of component configs for pipelines."""
+        """Instantiate the configured object: a spec, a family, or, for a
+        systemic measure, the config itself with its component configs."""
         if self.kind == "mean_semideviation":
             return make_mean_semideviation(self.params)
         if self.kind == "higher_order":
@@ -431,11 +424,12 @@ class MeasureConfig:
                 doc["u"] = list(self.u)
             return doc
         if self.kind == "systemic":
-            outer = {"kind": self.outer.kind}
-            if self.outer.kind == "mean_semideviation":
-                outer.update(kappa=self.outer.kappa, p=self.outer.p)
+            agg = self.systemic.outer
+            outer = {"kind": agg.kind}
+            if agg.kind == "mean_semideviation":
+                outer.update(kappa=agg.kappa, p=agg.p)
             return {"kind": self.kind,
-                    "weights": list(self.params.weights),
+                    "weights": list(self.systemic.weights),
                     "outer": outer,
                     "components": [c.to_json() for c in self.components]}
         raise ConfigError(f"unknown measure kind {self.kind!r}")
@@ -488,7 +482,7 @@ def parse_measure(doc) -> MeasureConfig:
             weights = doc.get("weights")
             if weights is None:
                 weights = [1.0 / len(comps)] * len(comps)
-            params = MeasureParams(weights=tuple(float(w) for w in weights))
+            systemic = SystemicSpec(tuple(float(w) for w in weights), outer)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -497,6 +491,6 @@ def parse_measure(doc) -> MeasureConfig:
     # a parameter-parsing error, and reads as SystemicSpec's does
     if kind != "systemic":
         raise ConfigError(f"unknown measure kind {kind!r}")
-    if len(params.weights) != len(comps):
+    if len(systemic.weights) != len(comps):
         raise ConfigError("one weight per component is required")
-    return MeasureConfig(kind, params, components=comps, outer=outer)
+    return MeasureConfig(kind, MeasureParams(), components=comps, systemic=systemic)

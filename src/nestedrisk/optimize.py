@@ -220,7 +220,7 @@ def _sorted_tail(problem: ScalarProblem):
     if pm is None or pm.tail_objective is None or pm.power <= 1.0:
         return None
     h = bandwidth(plan.schedule, sample.n, sample.std_scale())
-    return np.sort(sample.data[:, 0]), float(pm.tail_objective[1]), float(pm.power), h
+    return np.sort(sample.data[:, 0]), float(pm.tail_objective), float(pm.power), h
 
 
 def _solve_sorted_tail(xs: np.ndarray, c: float, p: float, h: float,

@@ -93,18 +93,18 @@ def golden_section(fn, lo: float, hi: float, tol: float):
 
 def mean_spec():
     """k = 0 spec: the plain mean of a scalar sample."""
-    from nestedrisk.core import CompositeSpec, DimSignature, LayerFn
+    from nestedrisk.core import CompositeSpec, LayerFn
 
     def f1(x):
         return x[:, 0]
 
-    return CompositeSpec(DimSignature(1, 0, (1,)), (LayerFn(1, f1),), "mean")
+    return CompositeSpec(1, (1,), (LayerFn(f1),), "mean")
 
 
 def linear_spec(matrices, m: int = 1):
     """All-linear layers f_j(eta, x) = A_j eta (constant matrices), with an
     innermost identity-like layer returning the first dims of x padded."""
-    from nestedrisk.core import CompositeSpec, DimSignature, LayerFn
+    from nestedrisk.core import CompositeSpec, LayerFn
 
     k = len(matrices)
     dims = [matrices[0].shape[0]]
@@ -119,7 +119,7 @@ def linear_spec(matrices, m: int = 1):
         def jac(eta, x, a=a):
             return np.broadcast_to(a, (x.shape[0],) + a.shape).copy()
 
-        layers.append(LayerFn(j, ev, jac))
+        layers.append(LayerFn(ev, jac))
 
     d_last = dims[-1]
 
@@ -128,5 +128,5 @@ def linear_spec(matrices, m: int = 1):
         wide = np.tile(x, (1, reps))
         return wide[:, :d_last]
 
-    layers.append(LayerFn(k + 1, inner))
-    return CompositeSpec(DimSignature(m, k, tuple(dims)), tuple(layers), "linear")
+    layers.append(LayerFn(inner))
+    return CompositeSpec(m, tuple(dims), tuple(layers), "linear")

@@ -309,8 +309,8 @@ def test_criterion_7_bruteforce_oracle_equivalence():
         exact_equal &= bool(np.array_equal(est.value, naive_val))
         worst_value = max(worst_value,
                           float(np.max(np.abs(est.value - naive_val))))
-        sig = _sigma(spec, s.data, est.chain)
-        naive_sig = stacked_covariance(spec, x, est.chain)
+        sig = _sigma(spec, s.data, est)
+        naive_sig = stacked_covariance(spec, x, est)
         scale = max(1.0, float(np.max(np.abs(naive_sig))))
         worst_sigma = max(worst_sigma,
                           float(np.max(np.abs(sig - naive_sig))) / scale)

@@ -10,8 +10,7 @@ import nestedrisk as nr
 
 PUBLIC_NAMES = [
     "AsymptoticReport", "BandwidthSchedule", "CompositeSpec", "ConfigError",
-    "DimSignature", "DistributionSummary", "EstimateReport", "EtaChain",
-    "EvaluationError", "HigherOrderFamily", "Histogram", "IdentityCheck",
+    "DistributionSummary", "EtaChain", "EvaluationError", "HigherOrderFamily", "Histogram", "IdentityCheck",
     "KernelSpec", "LayerFn", "MeasureConfig", "MeasureParams", "Normal",
     "OptimalValueReport", "OuterAggregation", "PortfolioFamily",
     "PowerMaxForm", "ProductLaw", "QuadratureRule", "Reference",

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 import nestedrisk as nr
 from nestedrisk.asymptotics import (_jacobian_means, _limit_cov, _sigma,
                                     exact_limit_variance)
-from nestedrisk.core import CompositeSpec, DimSignature, LayerFn, _eval_layer
+from nestedrisk.core import CompositeSpec, LayerFn, _eval_layer
 from nestedrisk._rng import derive_seed
 
 from naive import linear_spec, mean_spec, stacked_covariance
@@ -21,14 +21,14 @@ def test_sigma_constant_sample_is_zero():
     s = nr.Sample(np.full(10, 4.0))
     spec = msd()
     est = nr.estimate_empirical(spec, s)
-    np.testing.assert_allclose(_sigma(spec, s.data, est.chain), 0.0, atol=1e-14)
+    np.testing.assert_allclose(_sigma(spec, s.data, est), 0.0, atol=1e-14)
 
 
 def test_sigma_k0_population_variance():
     s = nr.Sample(np.array([1.0, 2.0, 3.0]))
     spec = mean_spec()
     est = nr.estimate_empirical(spec, s)
-    assert _sigma(spec, s.data, est.chain)[0, 0] == pytest.approx(2.0 / 3.0, rel=1e-14)
+    assert _sigma(spec, s.data, est)[0, 0] == pytest.approx(2.0 / 3.0, rel=1e-14)
 
 
 def test_sigma_matches_bruteforce_stacking():
@@ -37,8 +37,8 @@ def test_sigma_matches_bruteforce_stacking():
     spec = msd(0.7, 2.0)
     s = nr.Sample(x)
     est = nr.estimate_empirical(spec, s)
-    naive = stacked_covariance(spec, x, est.chain)
-    np.testing.assert_allclose(_sigma(spec, s.data, est.chain), naive,
+    naive = stacked_covariance(spec, x, est)
+    np.testing.assert_allclose(_sigma(spec, s.data, est), naive,
                                rtol=1e-12, atol=1e-14)
 
 
@@ -48,13 +48,13 @@ def test_sigma_block_layout_and_symmetry():
     spec = msd()
     s = nr.Sample(x)
     est = nr.estimate_empirical(spec, s)
-    full = _sigma(spec, s.data, est.chain)
+    full = _sigma(spec, s.data, est)
     assert full.shape == (3, 3)
     np.testing.assert_allclose(full, full.T, atol=1e-12)
     assert np.linalg.eigvalsh(full)[0] >= -1e-9 * np.trace(full)
     # block (1, 2): the 1/n covariance of the layer-1 and layer-2 values
-    f1 = _eval_layer(spec, 1, est.chain.input_for(1), s.data)[:, 0]
-    f2 = _eval_layer(spec, 2, est.chain.input_for(2), s.data)[:, 0]
+    f1 = _eval_layer(spec, 1, est.input_for(1), s.data)[:, 0]
+    f2 = _eval_layer(spec, 2, est.input_for(2), s.data)[:, 0]
     np.testing.assert_allclose(full[0:1, 1:2],
                                [[np.cov(f1, f2, bias=True)[0, 1]]], rtol=1e-12)
 
@@ -85,11 +85,11 @@ def test_sigma_layer_major_matches_bruteforce_on_two_column_stack():
     rng = np.random.default_rng(22)
     x = rng.normal(size=(60, 2)) @ np.array([[1.0, 0.6], [0.0, 0.8]]) + [3.0, -1.0]
     spec = nr.stack_specs([msd(0.5, 2.0), msd(0.8, 3.0)])
-    assert spec.signature.dims == (2, 2, 2)
+    assert spec.dims == (2, 2, 2)
     s = nr.Sample(x)
     est = nr.estimate_empirical(spec, s)
-    full = _sigma(spec, s.data, est.chain)
-    naive = stacked_covariance(spec, x, est.chain)
+    full = _sigma(spec, s.data, est)
+    naive = stacked_covariance(spec, x, est)
     np.testing.assert_allclose(full, naive, rtol=1e-12, atol=1e-14)
     # block (2, 3): the layer-2 coordinates 2:4 against the layer-3 ones 4:6
     np.testing.assert_allclose(full[2:4, 4:6], naive[2:4, 4:6], rtol=1e-12,
@@ -103,15 +103,15 @@ def test_sigma_and_jacobians_of_three_asset_portfolio():
     x = np.random.default_rng(23).normal(size=(80, 3)) + [0.1, 0.0, -0.2]
     s = nr.Sample(x)
     est = nr.estimate_empirical(spec, s)
-    full = _sigma(spec, s.data, est.chain)
-    np.testing.assert_allclose(full, stacked_covariance(spec, x, est.chain),
+    full = _sigma(spec, s.data, est)
+    np.testing.assert_allclose(full, stacked_covariance(spec, x, est),
                                rtol=1e-12, atol=1e-14)
     # expected Jacobians written out: d f1 / d eta2 and d f2 / d eta3
-    eta3 = est.chain.input_for(2)[0]
-    eta2 = est.chain.input_for(1)[0]
+    eta3 = est.input_for(2)[0]
+    eta2 = est.input_for(1)[0]
     j1 = kappa / p * eta2 ** (1.0 / p - 1.0)
     j2 = np.mean(p * np.maximum(0.0, eta3 - x @ u) ** (p - 1.0))
-    jmeans = _jacobian_means(spec, est.chain, s.data)
+    jmeans = _jacobian_means(spec, est, s.data)
     assert jmeans[0][0, 0] == pytest.approx(j1, rel=1e-12)
     assert jmeans[1][0, 0] == pytest.approx(j2, rel=1e-12)
     rep = nr.asymptotic_report(spec, s, est, level=0.9)
@@ -136,8 +136,8 @@ def test_sigma_eigenvalue_clip_branch_matches_bruteforce(monkeypatch):
         x = np.random.default_rng(seed).normal(10.0, 2.0, size=50)
         s = nr.Sample(x)
         est = nr.estimate_empirical(spec, s)
-        full = _sigma(spec, s.data, est.chain)
-        naive = stacked_covariance(spec, x, est.chain)
+        full = _sigma(spec, s.data, est)
+        naive = stacked_covariance(spec, x, est)
         np.testing.assert_allclose(full, naive, rtol=1e-12, atol=1e-14)
         np.testing.assert_array_equal(full, full.T)
     monkeypatch.undo()
@@ -152,7 +152,7 @@ def test_chain_identity_layers():
     rng = np.random.default_rng(3)
     s = nr.Sample(rng.normal(size=9))
     est = nr.estimate_empirical(spec, s)
-    for jmean in _jacobian_means(spec, est.chain, s.data):
+    for jmean in _jacobian_means(spec, est, s.data):
         np.testing.assert_allclose(jmean, eye, atol=1e-13)
 
 
@@ -162,14 +162,14 @@ def test_chain_linear_layers_exact_products():
     spec = linear_spec([a1, a2], m=1)
     s = nr.Sample(rng.normal(size=6))
     est = nr.estimate_empirical(spec, s)
-    j1, j2 = _jacobian_means(spec, est.chain, s.data)
+    j1, j2 = _jacobian_means(spec, est, s.data)
     np.testing.assert_allclose(j1, a1, rtol=1e-14)
     np.testing.assert_allclose(j2, a2, rtol=1e-14)
     # stacked layout C^T = (I, C_1^T, C_2^T) with C_r^T = C_{r-1}^T E[J_r],
     # matching the Sigma block layout
     ct = np.concatenate([np.eye(2), a1, a1 @ a2], axis=1)
-    want = ct @ _sigma(spec, s.data, est.chain) @ ct.T
-    np.testing.assert_allclose(_limit_cov(spec, s.data, est.chain), want,
+    want = ct @ _sigma(spec, s.data, est) @ ct.T
+    np.testing.assert_allclose(_limit_cov(spec, s.data, est), want,
                                rtol=1e-12, atol=1e-14)
 
 
@@ -179,8 +179,8 @@ def test_chain_mean_semideviation_outer_jacobian_formula():
     kappa, p = 0.5, 2.0
     spec = msd(kappa, p)
     est = nr.estimate_empirical(spec, s)
-    j1 = _jacobian_means(spec, est.chain, s.data)[0][0, 0]
-    eta2 = est.chain.input_for(1)[0]
+    j1 = _jacobian_means(spec, est, s.data)[0][0, 0]
+    eta2 = est.input_for(1)[0]
     assert j1 == pytest.approx(kappa / p * eta2 ** (1 / p - 1), rel=1e-12)
     # finite-difference cross-check of the declared outer Jacobian
     h = 1e-6 * max(1.0, eta2)
@@ -196,11 +196,10 @@ def test_chain_fd_fallback_when_jacobian_missing():
     def f2(x):
         return x[:, 0]
 
-    spec = CompositeSpec(DimSignature(1, 1, (1, 1)),
-                         (LayerFn(1, f1), LayerFn(2, f2)))
+    spec = CompositeSpec(1, (1, 1), (LayerFn(f1), LayerFn(f2)))
     s = nr.Sample(np.array([1.0, 3.0]))
     est = nr.estimate_empirical(spec, s)
-    jmean = _jacobian_means(spec, est.chain, s.data)[0]
+    jmean = _jacobian_means(spec, est, s.data)[0]
     assert jmean[0, 0] == pytest.approx(2 * 2.0, rel=1e-8)
 
 
@@ -343,9 +342,9 @@ def test_plugin_paths_reject_a_sample_of_another_dimension():
     s = nr.sample(nr.SamplerConfig(law, 7), 200)
     est = nr.estimate_empirical(spec, nr.Sample(s.data[:, 0]))
     with pytest.raises(nr.ConfigError, match="dimension 2"):
-        _sigma(spec, s.data, est.chain)
+        _sigma(spec, s.data, est)
     with pytest.raises(nr.ConfigError, match="dimension 2"):
-        _jacobian_means(spec, est.chain, s.data)
+        _jacobian_means(spec, est, s.data)
     with pytest.raises(nr.ConfigError, match="dimension 2"):
         nr.asymptotic_report(spec, s, est)
 

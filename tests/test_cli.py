@@ -320,6 +320,8 @@ _PORTFOLIO = '{"kind": "portfolio_semideviation", "m": 2, "u": [1, 0, 0]}'
 _PORTFOLIO_P1 = '{"kind": "portfolio_semideviation", "p": 1, "u": [1]}'
 _PORTFOLIO_M0 = '{"kind": "portfolio_semideviation", "m": 0, "u": []}'
 _PORTFOLIO_NAN = '{"kind": "portfolio_semideviation", "m": 2, "u": [NaN, 1]}'
+_SYSTEMIC_NAN = json.dumps({"kind": "systemic", "weights": [float("nan"), 1.0],
+                            "components": [{"kind": "higher_order"}] * 2})
 # four factors: the law's tensor rule would hold 100^4 nodes
 _LAW4 = "*".join(["normal:0,1"] * 4)
 _PORTFOLIO4 = '{"kind": "portfolio_semideviation", "m": 4, "u": [0.25, 0.25, 0.25, 0.25]}'
@@ -366,6 +368,7 @@ def _systemic(outer):
     ["estimate", "--measure", '{"kind": "higher_order",', "--law", _LAW],
     ["simulate", "--measure", "msd", "--law", _LAW, "--replications", "0"],
     ["estimate", "--measure", _PORTFOLIO_NAN, "--law", _LAWS],
+    ["estimate", "--measure", _SYSTEMIC_NAN, "--law", _LAWS],
     ["estimate", "--measure", "msd", "--law", _LAW, "--kernel", "uniform",
      "--bandwidth", "power:-1,0.6"],
     ["estimate", "--measure", "msd", "--law", _LAW, "--kernel", "uniform",
@@ -392,6 +395,7 @@ def _systemic(outer):
         "portfolio-allocation-length", "portfolio-p-1", "portfolio-m-0",
         "unknown-outer-kind", "outer-kappa-2", "outer-p-below-1",
         "inline-json-unparsed", "zero-replications", "portfolio-nan-allocation",
+        "systemic-nan-weight",
         "negative-bandwidth-scale", "negative-bandwidth-exponent",
         "smooth-layer-0", "kernel-dimension-0", "moment-order-below-1",
         "simulate-higher-order-4-factor-law", "simulate-4-asset-portfolio",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nestedrisk as nr
-from nestedrisk.core import CompositeSpec, DimSignature, LayerFn, _eval_layer
+from nestedrisk.core import CompositeSpec, LayerFn, _eval_layer
 
 from naive import linear_spec, mean_spec, nested_empirical
 
@@ -16,15 +16,13 @@ def _two_column_inner_spec():
     def f2(x):
         return np.stack([x[:, 0], x[:, 0]], axis=1)
 
-    return CompositeSpec(DimSignature(1, 1, (1, 1)),
-                         (LayerFn(1, f1), LayerFn(2, f2)))
+    return CompositeSpec(1, (1, 1), (LayerFn(f1), LayerFn(f2)))
 
 
 def _one_row_outer_spec():
     # f1 returns one row whatever the number of points
-    return CompositeSpec(DimSignature(1, 1, (1, 1)),
-                         (LayerFn(1, lambda eta, x: np.atleast_2d(eta)),
-                          LayerFn(2, lambda x: x[:, 0])))
+    return CompositeSpec(1, (1, 1), (LayerFn(lambda eta, x: np.atleast_2d(eta)),
+                                     LayerFn(lambda x: x[:, 0])))
 
 
 def _shifted_rows(spec):
@@ -90,7 +88,7 @@ def test_exact_chain_reports_nonfinite_layer():
         out[:] = np.inf
         return out
 
-    spec = CompositeSpec(DimSignature(1, 0, (1,)), (LayerFn(1, f1),))
+    spec = CompositeSpec(1, (1,), (LayerFn(f1),))
     with pytest.raises(nr.EvaluationError) as err:
         nr.eval_exact_chain(spec, nr.TwoPoint(0.0, 1.0).oracle())
     assert err.value.layer == 1
@@ -194,8 +192,8 @@ def test_propagate_inner_unit_direction_matches_finite_difference():
     eps = 1e-6
     shifted = nr.make_mean_semideviation(params)
     bumped = CompositeSpec(
-        shifted.signature,
-        shifted.layers[:2] + (LayerFn(3, lambda x: x[:, 0] + eps),),
+        shifted.m, shifted.dims,
+        shifted.layers[:2] + (LayerFn(lambda x: x[:, 0] + eps),),
         "bumped")
     fd = (nr.eval_exact_chain(bumped, oracle).value[0] - chain.value[0]) / eps
     assert xi[0] == pytest.approx(fd, rel=1e-5)
@@ -230,8 +228,7 @@ def test_propagate_without_declared_jacobian_uses_finite_differences():
     def f2(x):
         return x[:, 0]
 
-    spec = CompositeSpec(DimSignature(1, 1, (1, 1)),
-                         (LayerFn(1, f1), LayerFn(2, f2)))
+    spec = CompositeSpec(1, (1, 1), (LayerFn(f1), LayerFn(f2)))
     oracle = nr.TwoPoint(0.0, 1.0).oracle()
     chain = nr.eval_exact_chain(spec, oracle)
     xi = nr.propagate_direction(spec, chain, oracle, (np.zeros(1), np.ones(1)))
@@ -282,13 +279,18 @@ def test_declared_jacobians_match_central_differences(factory):
                 np.broadcast_to(declared, fd.shape), fd, rtol=1e-5, atol=1e-9)
 
 
-def test_dim_signature_invariants():
-    with pytest.raises(nr.ConfigError):
-        DimSignature(1, 2, (1, 1))   # wrong length
-    with pytest.raises(nr.ConfigError):
-        DimSignature(1, 1, (1, 0))   # zero dimension
-    with pytest.raises(nr.ConfigError):
-        DimSignature(0, 0, (1,))     # bad sample dim
+def test_composite_spec_invariants():
+    layer = LayerFn(lambda x: x[:, 0])
+    spec = CompositeSpec(2, (3, 1), (layer, layer))
+    assert (spec.k, spec.m0) == (1, 3)
+    with pytest.raises(nr.ConfigError, match="dims"):
+        CompositeSpec(1, (), ())              # no output dimension
+    with pytest.raises(nr.ConfigError, match="dims"):
+        CompositeSpec(1, (1, 0), (layer, layer))   # zero dimension
+    with pytest.raises(nr.ConfigError, match="sample dimension"):
+        CompositeSpec(0, (1,), (layer,))      # bad sample dim
+    with pytest.raises(nr.ConfigError, match="expected 2 layers, got 3"):
+        CompositeSpec(1, (1, 1), (layer,) * 3)  # one layer per dimension
 
 
 _PRODUCT = nr.ProductLaw((nr.Normal(-4.0, 2.5), nr.Uniform(-1.0, 3.0)))
@@ -330,13 +332,11 @@ def _three_level_problem():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: DimSignature(1, -1, ()),
-    lambda: CompositeSpec(DimSignature(1, 1, (1, 1)), (LayerFn(1, _raises),)),
+    lambda: CompositeSpec(1, (), ()),
+    lambda: CompositeSpec(1, (1, 1), (LayerFn(_raises),)),
     lambda: nr.QuadratureRule([[0.0], [1.0], [2.0]], [0.5, 0.5]),
     lambda: nr.ProductLaw(()),
     lambda: nr.sample(nr.SamplerConfig(nr.Normal(0.0, 1.0)), 0),
-    lambda: CompositeSpec(DimSignature(1, 1, (1, 1)),
-                          (LayerFn(2, lambda x: x[:, 0]), LayerFn(1, _raises))),
     lambda: nr.ProductLaw((nr.Normal(0.0, 1.0),) * 4).oracle(),
     lambda: nr.KernelSpec("gaussian", 5),
     lambda: nr.KernelSpec("triangular"),
@@ -356,8 +356,8 @@ def _three_level_problem():
     lambda: nr.optimal_value_clt_variance(_three_level_problem(), None, 0.5),
     lambda: nr.optimal_value_limit_covariance(
         [_three_level_problem()], [0.5], samples=nr.Sample(np.arange(3.0))),
-], ids=["negative-depth", "layer-count", "rule-lengths", "empty-product-law",
-        "empty-sample", "layer-index-order", "product-law-oracle-100^4-nodes",
+], ids=["empty-dims", "layer-count", "rule-lengths", "empty-product-law",
+        "empty-sample", "product-law-oracle-100^4-nodes",
         "gaussian-kernel-64^5-nodes", "kernel-family", "bandwidth-rule",
         "bandwidth-n-0", "sample-without-rows", "sample-nan",
         "identity-order-below-1", "ks-zero-variance", "stack-no-components",
@@ -371,7 +371,6 @@ def test_malformed_inputs_raise_config_error(build):
 def test_a_layer_that_raises_raises_where_it_is_evaluated():
     # no probe evaluates layers ahead of the estimate; the layer's own error
     # comes out of the first path that runs it
-    spec = CompositeSpec(DimSignature(1, 1, (1, 1)),
-                         (LayerFn(1, _raises), LayerFn(2, lambda x: x[:, 0])))
+    spec = CompositeSpec(1, (1, 1), (LayerFn(_raises), LayerFn(lambda x: x[:, 0])))
     with pytest.raises(ValueError, match="no value here"):
         nr.estimate_empirical(spec, nr.Sample(np.arange(3.0)))

@@ -33,7 +33,7 @@ def test_empirical_two_point():
     s = nr.Sample(np.array([0.0, 2.0]))
     est = nr.estimate_empirical(msd(), s)
     assert est.value[0] == pytest.approx(1.3535533905932737, abs=1e-14)
-    assert est.chain.value is est.value
+    assert isinstance(est, nr.EtaChain) and est.value is est.eta[-1]
 
 
 def test_empirical_k0_mean():
@@ -50,12 +50,12 @@ def test_empirical_matches_nested_sums_exactly():
 
 
 def test_empirical_reports_nonfinite_with_indices():
-    from nestedrisk.core import CompositeSpec, DimSignature, LayerFn
+    from nestedrisk.core import CompositeSpec, LayerFn
 
     def f1(x):
         return np.where(x[:, 0] == 2.0, np.nan, x[:, 0])
 
-    spec = CompositeSpec(DimSignature(1, 0, (1,)), (LayerFn(1, f1),))
+    spec = CompositeSpec(1, (1,), (LayerFn(f1),))
     with pytest.raises(nr.EvaluationError) as err:
         nr.estimate_empirical(spec, nr.Sample(np.arange(5.0)))
     assert err.value.layer == 1 and err.value.sample_index == 2
@@ -73,12 +73,12 @@ def test_empirical_mean_overflow_names_the_layer():
 def test_nonfinite_layer_mean_names_the_layer_under_warnings_as_errors():
     # numpy warns on a sum of +inf and -inf rows and on a sum that overflows;
     # raised as an error, that warning must still end in the named error
-    from nestedrisk.core import CompositeSpec, DimSignature, LayerFn
+    from nestedrisk.core import CompositeSpec, LayerFn
 
     def f1(x):
         return np.where(x[:, 0] > 0, np.inf, -np.inf)
 
-    signed_inf = CompositeSpec(DimSignature(1, 0, (1,)), (LayerFn(1, f1),))
+    signed_inf = CompositeSpec(1, (1,), (LayerFn(f1),))
     x = np.array([1.0, -1.0])
     for run in (lambda: nr.estimate_empirical(signed_inf, nr.Sample(x)),
                 lambda: nr.eval_exact_chain(signed_inf,
@@ -122,7 +122,7 @@ def test_mixed_empty_smoothing_set_bit_identical():
     mixed = nr.estimate_mixed(spec, s, uniform_plan(layers=set()))
     assert np.array_equal(plain.value, mixed.value)
     assert all(np.array_equal(a, b)
-               for a, b in zip(plain.chain.eta, mixed.chain.eta))
+               for a, b in zip(plain.eta, mixed.eta))
 
 
 def test_mixed_small_bandwidth_limit_matches_empirical():
@@ -155,7 +155,7 @@ def test_mixed_single_point_smoothed_inner_mean_is_one_sixth():
     s = nr.Sample(np.array([u]))
     sched = nr.BandwidthSchedule("power", scale=1.0, exponent=1e-12)
     est = nr.estimate_mixed(spec, s, uniform_plan(schedule=sched))
-    inner = est.chain.eta[0][0]
+    inner = est.eta[0][0]
     assert inner == pytest.approx(1.0 / 6.0, abs=1e-14)
 
 
@@ -169,7 +169,7 @@ def test_mixed_gaussian_kernel_quadrature_path():
     assert np.isfinite(est.value[0])
     # smoothing a convex tail power cannot reduce the inner mean
     emp = nr.estimate_empirical(spec, s)
-    assert est.chain.eta[1][0] >= emp.chain.eta[1][0] - 1e-12
+    assert est.eta[1][0] >= emp.eta[1][0] - 1e-12
 
 
 def test_mixed_portfolio_smooths_shifted_rows_like_bruteforce():
@@ -182,7 +182,7 @@ def test_mixed_portfolio_smooths_shifted_rows_like_bruteforce():
     plan = nr.SmoothingPlan(frozenset({2}), nr.KernelSpec("gaussian", 2, 2.0),
                             nr.BandwidthSchedule("power", 1.0, 0.3),
                             convolution_nodes=8)
-    got = nr.estimate_mixed(spec, s, plan).chain.eta
+    got = nr.estimate_mixed(spec, s, plan).eta
 
     h = nr.bandwidth(plan.schedule, s.n, s.std_scale())
     z, w = np.polynomial.hermite_e.hermegauss(8)
@@ -274,12 +274,12 @@ def test_sorted_powermax_branch_equals_quadrature(family, kind, p, n, measure,
     fast = nr.estimate_mixed(spec, s, plan)
     slow = nr.estimate_mixed(_untagged(spec), s, plan)
     at = spec.k - 1                     # position of layer 2 in the chain
-    inner, inner_q = fast.chain.eta[at][0], slow.chain.eta[at][0]
+    inner, inner_q = fast.eta[at][0], slow.eta[at][0]
 
     # direct quadrature over the gaps themselves
     h = nr.bandwidth(plan.schedule, n)
     z, w = _kernel_nodes_1d(family, plan.convolution_nodes)
-    eta_in = fast.chain.input_for(2) if spec.k > 1 else None
+    eta_in = fast.input_for(2) if spec.k > 1 else None
     gap = spec.layer(2).powermax.gap(eta_in, s.data)
     direct = np.mean(np.maximum(0.0, gap[:, None] - h * z[None, :]) ** p @ w)
     assert abs(inner - direct) <= 1e-12 * direct
@@ -303,7 +303,7 @@ def test_sorted_powermax_branch_far_tail_relative_accuracy(p, widths):
     u = float(x.max() + widths * h)
     spec = nr.make_higher_order_family(nr.MeasureParams(c=4.0, p=float(p)))(u)
     plan = nr.SmoothingPlan(frozenset({2}), nr.KernelSpec("gaussian", 1, 2.0), sched)
-    inner = nr.estimate_mixed(spec, nr.Sample(x), plan).chain.eta[0][0]
+    inner = nr.estimate_mixed(spec, nr.Sample(x), plan).eta[0][0]
     z, w = _kernel_nodes_1d("gaussian", plan.convolution_nodes)
     direct = np.mean(np.maximum(0.0, (x - u)[:, None] - h * z[None, :]) ** p @ w)
     assert 0.0 < direct < 1e-8

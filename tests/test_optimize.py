@@ -73,12 +73,11 @@ def test_probe_grid_point_replaces_a_local_minimum():
     # the solver assumes a convex objective; on (u^2 - 1)^2 + 0.3 u it stops
     # in the local minimum near u = 0.96, and the flat-check grid's point
     # near the global minimum at u = -1.04 is returned in its place
-    from nestedrisk.core import CompositeSpec, DimSignature, LayerFn
+    from nestedrisk.core import CompositeSpec, LayerFn
 
     def family(u):
         value = (u * u - 1.0) ** 2 + 0.3 * u
-        return CompositeSpec(DimSignature(1, 0, (1,)),
-                             (LayerFn(1, lambda x: np.full(x.shape[0], value)),))
+        return CompositeSpec(1, (1,), (LayerFn(lambda x: np.full(x.shape[0], value)),))
 
     prob = nr.ScalarProblem(family, (-1.5, 2.5), "exact-oracle",
                             oracle=nr.QuadratureRule([[0.0]], [1.0]))
@@ -92,9 +91,8 @@ def test_probe_grid_point_replaces_a_local_minimum():
 
 def test_nonfinite_objective_raises():
     def bad_family(u):
-        from nestedrisk.core import CompositeSpec, DimSignature, LayerFn
-        return CompositeSpec(DimSignature(1, 0, (1,)),
-                             (LayerFn(1, lambda x: np.full(x.shape[0], np.inf)),))
+        from nestedrisk.core import CompositeSpec, LayerFn
+        return CompositeSpec(1, (1,), (LayerFn(lambda x: np.full(x.shape[0], np.inf)),))
 
     prob = nr.ScalarProblem(bad_family, (0.0, 1.0), "exact-oracle",
                             oracle=nr.TwoPoint(0.0, 1.0).oracle())
@@ -492,17 +490,6 @@ def test_sorted_tail_newton_error_paths():
                              sample=nr.Sample(np.full(50, 3.0)), plan=plan)
     with pytest.raises(nr.EvaluationError, match="silverman"):
         nr.minimize_scalar(const)
-    # an invalid family is rejected at the probe, before any solve
-    def mislabelled(u):
-        spec = ho_family()(u)
-        return replace(spec, layers=(replace(spec.layer(1), index=2), spec.layer(2)))
-
-    fam = CountingFamily(mislabelled)
-    s = nr.Sample(np.random.default_rng(26).normal(10.0, SQ3, 50))
-    bad = nr.ScalarProblem(fam, (0.0, 20.0), "mixed-plan", sample=s, plan=plan)
-    with pytest.raises(nr.ConfigError):
-        nr.minimize_scalar(bad)
-    assert fam.calls == 1
 
 
 # --- Brent's method ---------------------------------------------------------------
