@@ -146,7 +146,13 @@ class SmoothingPlan:
 
 @dataclass(frozen=True)
 class Sample:
-    """An n x m matrix of observations with finite entries."""
+    """An n x m matrix of observations with finite entries.
+
+    A Sample assumes its data do not change after construction: the
+    entries are checked once, here, and the ascending order of the columns
+    is sorted on first use and kept on the instance, read-only. That one
+    order feeds ``optimize.default_bracket`` and the sorted-tail solve.
+    """
 
     data: np.ndarray
 
@@ -167,6 +173,18 @@ class Sample:
     @property
     def m(self) -> int:
         return self.data.shape[1]
+
+    def _sorted(self) -> np.ndarray:
+        """The columns sorted ascending (read-only), sorted on the first
+        call. A per-instance field rather than functools.cached_property,
+        whose lock is per class on Python <= 3.11 and would serialize the
+        sorts of threaded replications."""
+        order = self.__dict__.get("_order")
+        if order is None:
+            order = np.sort(self.data, axis=0)
+            order.flags.writeable = False
+            object.__setattr__(self, "_order", order)
+        return order
 
     def std_scale(self) -> float:
         """Scalar dispersion estimate: sqrt of mean per-coordinate variance
@@ -251,6 +269,14 @@ def _powermax_tail_sums(gap: np.ndarray, p: int, offsets: np.ndarray) -> np.ndar
     return sums
 
 
+def _check_tag(j: int, value: float, tagged: float, where: str, form: str) -> None:
+    """Raise ConfigError naming layer j when its evaluator's value differs
+    from the value its PowerMaxForm tag gives (beyond 1e-12 relative)."""
+    if value != tagged and not abs(value - tagged) <= 1e-12 * abs(tagged):
+        raise ConfigError(f"layer {j} returned {value:.17g} {where}, but its "
+                          f"PowerMaxForm tag gives {form} = {tagged:.17g}")
+
+
 def _powermax_smoothed_mean(spec: CompositeSpec, j: int, eta: np.ndarray | None,
                             sample: Sample, plan: SmoothingPlan,
                             h: float) -> float | None:
@@ -279,12 +305,9 @@ def _powermax_smoothed_mean(spec: CompositeSpec, j: int, eta: np.ndarray | None,
     gap = np.asarray(pm.gap(eta, sample.data), dtype=float).reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
         i = int(np.argmax(gap))
-        value = _eval_layer(spec, j, eta, sample.data[i:i + 1])[0, 0]
-        tagged = np.maximum(0.0, gap[i]) ** power
-        if value != tagged and not abs(value - tagged) <= 1e-12 * abs(tagged):
-            raise ConfigError(
-                f"layer {j} returned {value:.17g} at sample row {i}, but its "
-                f"PowerMaxForm tag gives (max(0, gap))^{power:g} = {tagged:.17g}")
+        _check_tag(j, _eval_layer(spec, j, eta, sample.data[i:i + 1])[0, 0],
+                   np.maximum(0.0, gap[i]) ** power, f"at sample row {i}",
+                   f"(max(0, gap))^{power:g}")
         if uniform:
             mean = _powermax_uniform_mean(gap, power, h)
         else:

@@ -20,10 +20,11 @@ from typing import Callable
 import numpy as np
 
 from .asymptotics import _mixed_plan_variance, asymptotic_report, exact_limit_variance
-from .core import CompositeSpec, QuadratureRule, _chain
+from .core import CompositeSpec, QuadratureRule, _chain, _eval_layer
 from .errors import ConfigError, EvaluationError
-from .estimators import (Sample, SmoothingPlan, _check_plan, _powermax_uniform_mean,
-                         _smoother, bandwidth, estimate_empirical)
+from .estimators import (Sample, SmoothingPlan, _check_plan, _check_tag,
+                         _powermax_uniform_mean, _smoother, bandwidth,
+                         estimate_empirical)
 from .measures import stack_specs
 
 # golden-section fraction (3 - sqrt 5) / 2 and the rounding floor of a step
@@ -81,10 +82,25 @@ class ScalarProblem:
 
 def default_bracket(sample: Sample, c: float) -> tuple[float, float]:
     """Bracket for the higher-order family on a sample: the optimum is a
-    tail point, so [min X, max X + c * IQR] contains it."""
-    x = sample.data[:, 0]
-    q75, q25 = np.percentile(x, [75, 25])
-    return float(x.min()), float(x.max() + c * max(q75 - q25, 1e-12))
+    tail point, so [min X, max X + c * IQR] contains it. Min, max and
+    quartiles are read from the sample's cached order, the one the
+    sorted-tail solve reads; the quartiles equal np.percentile's bit for
+    bit."""
+    xs = sample._sorted()[:, 0]
+    q75, q25 = _quantile(xs, 0.75), _quantile(xs, 0.25)
+    return float(xs[0]), float(xs[-1] + c * max(q75 - q25, 1e-12))
+
+
+def _quantile(xs: np.ndarray, q: float) -> float:
+    """numpy's default (linear) quantile of the ascending xs: the value at
+    virtual index (n - 1) q, interpolated from the nearer neighbour as
+    numpy's _lerp does, so that it rounds as np.quantile(xs, q) does."""
+    v = (xs.shape[0] - 1) * q
+    i = int(v)
+    if i >= xs.shape[0] - 1:
+        return xs[-1]
+    a, b, t = xs[i], xs[i + 1], v - i
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
 @dataclass(frozen=True)
@@ -113,10 +129,11 @@ def minimize_scalar(problem: ScalarProblem, tol: float = 1e-8,
     A mixed plan that smooths a declared higher-moment inner layer
     (``PowerMaxForm.tail_objective``) with the uniform kernel, in a
     one-dimensional sample, is solved by safeguarded Newton steps on the
-    sorted sample (_solve_sorted_tail). Every other problem takes Brent's
-    method (_brent) to a bracket of width <= tol around the returned point.
-    Both paths evaluate a bracket end that no iterate passed and return the
-    end itself when the optimum is there.
+    sorted sample (_solve_sorted_tail); a declaration that its layers do
+    not compute raises ConfigError naming the layer. Every other problem
+    takes Brent's method (_brent) to a bracket of width <= tol around the
+    returned point. Both paths evaluate a bracket end that no iterate passed
+    and return the end itself when the optimum is there.
 
     A boundary optimum (objective monotone on the bracket) is reported with
     ``boundary=True``; a flat optimum (more than 1% of a probe grid within
@@ -210,17 +227,33 @@ def _brent(ev, lo: float, hi: float, tol: float):
 def _sorted_tail(problem: ScalarProblem):
     """(sorted sample, c, p, h) when the problem is a uniform-kernel mixed
     plan smoothing a declared higher-moment inner layer (p > 1) in a
-    one-dimensional sample; None otherwise."""
+    one-dimensional sample; None otherwise. The sorted sample is the
+    sample's cached order.
+
+    The declaration stands in for both layers' evaluators, so each runs
+    once, on the spec at the bracket midpoint u and at the point x = u + 2:
+    layer 2 must give 2^p and layer 1, at that eta, u + 2c (to 1e-12
+    relative), or ConfigError names the layer.
+    """
     sample, plan = problem.sample, problem.plan
     if (problem.objective_source != "mixed-plan" or plan.kernel.family != "uniform"
             or 2 not in plan.J or sample.m != 1):
         return None
-    spec = problem.family(0.5 * sum(problem.bracket))
+    u = 0.5 * sum(problem.bracket)
+    spec = problem.family(u)
     pm = spec.layer(2).powermax if spec.k == 1 else None
     if pm is None or pm.tail_objective is None or pm.power <= 1.0:
         return None
+    c, p = float(pm.tail_objective), float(pm.power)
+    x = np.array([[u + 2.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = np.maximum(0.0, x[0] - u) ** p
+        _check_tag(2, _eval_layer(spec, 2, None, x)[0, 0], eta[0],
+                   f"at x = {x[0, 0]:.17g}", f"(max(0, x - u))^{p:g}")
+        _check_tag(1, _eval_layer(spec, 1, eta, x)[0, 0], u + c * eta[0] ** (1.0 / p),
+                   f"at eta = {eta[0]:.17g}", f"u + {c:g} eta^(1/{p:g})")
     h = bandwidth(plan.schedule, sample.n, sample.std_scale())
-    return np.sort(sample.data[:, 0]), float(pm.tail_objective), float(pm.power), h
+    return sample._sorted()[:, 0], c, p, h
 
 
 def _solve_sorted_tail(xs: np.ndarray, c: float, p: float, h: float,

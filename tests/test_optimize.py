@@ -492,6 +492,38 @@ def test_sorted_tail_newton_error_paths():
         nr.minimize_scalar(const)
 
 
+def mislabelled_family(c_layer1=10.0, p_layer2=2.0):
+    """A higher-order family tagged c=20, p=2 whose layer 1 computes
+    u + c_layer1 eta^(1/2) and whose layer 2 computes (max(0, x - u))^p_layer2."""
+    fam = ho_family(20.0, 2.0)
+
+    def family(u):
+        spec = fam(u)
+
+        def f1(eta, x):
+            return np.full(x.shape[0], u + c_layer1 * eta[0] ** 0.5)
+
+        def f2(x):
+            return np.maximum(0.0, x[:, 0] - u) ** p_layer2
+        return replace(spec, layers=(replace(spec.layer(1), evaluator=f1),
+                                     replace(spec.layer(2), evaluator=f2)))
+    return family
+
+
+@pytest.mark.parametrize("c_layer1, p_layer2, layer", [(10.0, 2.0, 1), (20.0, 3.0, 2)])
+def test_sorted_tail_checks_the_declaration_against_both_layers(c_layer1, p_layer2,
+                                                                layer):
+    # the Newton path reads c and p from the tag, so without the check the
+    # family with c=10 in layer 1 was solved as the c=20 problem it declares
+    s = nr.Sample(np.random.default_rng(26).normal(10.0, SQ3, 2000))
+    plan = nr.SmoothingPlan(frozenset({2}), UNIFORM, SCHEDULES["power"])
+    bracket = nr.default_bracket(s, 20.0)
+    prob = nr.ScalarProblem(mislabelled_family(c_layer1, p_layer2), bracket,
+                            "mixed-plan", sample=s, plan=plan)
+    with pytest.raises(nr.ConfigError, match=f"^layer {layer} returned .* PowerMaxForm tag"):
+        nr.minimize_scalar(prob, flat_check_grid=0)
+
+
 # --- Brent's method ---------------------------------------------------------------
 
 def brent_problem(kind, n, family):
@@ -559,6 +591,61 @@ def test_default_bracket_contains_tail_optimum():
     s = nr.Sample(rng.normal(10, SQ3, 500))
     lo, hi = nr.default_bracket(s, 20.0)
     assert lo <= s.data.min() and hi > s.data.max() + 10.0
+
+
+def percentile_bracket(x, c):
+    """default_bracket as numpy computes it: quartiles from np.percentile."""
+    q75, q25 = np.percentile(x, [75, 25])
+    return float(x.min()), float(x.max() + c * max(q75 - q25, 1e-12))
+
+
+def test_default_bracket_equals_the_percentile_bracket_bit_for_bit():
+    rng = np.random.default_rng(27)
+    samples = [rng.normal(10.0, SQ3, n) for n in range(1, 2001)]
+    samples += [np.repeat(np.round(rng.normal(10.0, SQ3, 25), 1), 8),  # ties
+                np.full(40, 3.0), rng.normal(10.0, SQ3, 20000)]
+    for x in samples:
+        for c in (20.0, 0.3):
+            assert nr.default_bracket(nr.Sample(x), c) == percentile_bracket(x, c)
+
+
+def test_sample_order_is_sorted_once_and_read_only():
+    x = np.random.default_rng(28).normal(10.0, SQ3, (50, 2))
+    s = nr.Sample(x)
+    order = s._sorted()
+    assert s._sorted() is order
+    assert not order.flags.writeable
+    np.testing.assert_array_equal(order, np.sort(x, axis=0))
+    with pytest.raises(ValueError):
+        order[0, 0] = 0.0
+
+
+def optimal_values(x):
+    """Empirical and uniform-kernel (silverman, J={2}) optimal values of the
+    higher-order measure (c=20, p=2) on the sample x."""
+    s = nr.Sample(x)
+    plan = nr.SmoothingPlan(frozenset({2}), UNIFORM, SCHEDULES["silverman"])
+    bracket = nr.default_bracket(s, 20.0)
+    return [nr.minimize_scalar(nr.ScalarProblem(ho_family(), bracket, source,
+                                                sample=s, plan=pl),
+                               flat_check_grid=0).theta
+            for source, pl in (("empirical-sample", None), ("mixed-plan", plan))]
+
+
+@pytest.mark.parametrize("n", [200, 2000])
+@pytest.mark.parametrize("shift, scale", [(-7.5, 1.0), (250.0, 1.0), (0.0, 3.0),
+                                          (0.0, 40.0)])
+def test_optimal_values_are_translation_equivariant_and_homogeneous(n, shift, scale):
+    # theta(X + a) = theta(X) + a and theta(lambda X) = lambda theta(X): the
+    # silverman bandwidth moves with the scale, and the bracket with both.
+    # At n=200, c > sqrt(n) puts the empirical optimum at max X
+    x = np.random.default_rng(n).normal(10.0, SQ3, n)
+    base = optimal_values(x)
+    if n == 200:
+        assert base[0] == pytest.approx(x.max(), rel=1e-9)
+    moved = optimal_values(scale * x + shift)
+    for b, m in zip(base, moved):
+        assert m == pytest.approx(scale * b + shift, rel=1e-9)
 
 
 def test_smoothed_objective_dominates_empirical_for_p_at_least_two():
