@@ -14,7 +14,7 @@ import nestedrisk as nr
 
 params = nr.MeasureParams(kappa=0.5, p=2.0)
 spec = nr.make_mean_semideviation(params)
-print(f"spec: {spec.label}")
+print(f"spec: mean_semideviation(kappa={params.kappa:g}, p={params.p:g})")
 print(f"  layers: {len(spec.layers)}, dims: {spec.dims}, sample dim: {spec.m}")
 
 # --- exact evaluation against several laws ------------------------------------
@@ -53,7 +53,7 @@ print(f"\nunit perturbation of the innermost layer: xi_1 = {xi[0]:.6f}")
 eps = 1e-6
 from nestedrisk.core import CompositeSpec, LayerFn
 bumped = CompositeSpec(spec.m, spec.dims,
-                       spec.layers[:2] + (LayerFn(lambda x: x[:, 0] + eps),), "bumped")
+                       spec.layers[:2] + (LayerFn(lambda x: x[:, 0] + eps),))
 fd = (nr.eval_exact_chain(bumped, oracle).value[0] - chain_n.value[0]) / eps
 print(f"finite-difference check:                  {fd:.6f}")
 

@@ -38,23 +38,25 @@ for h in (1.0, 1e-2, 1e-4, 1e-6):
 
 # --- the closed form ------------------------------------------------------------
 
-# uniform-kernel smoothing of (max(0, X - u))^p integrates in closed form;
-# compare against direct quadrature on a window split at the kink
-x = np.array([5.0])
-closed = nr.uniform_kernel_powermax(nr.Sample(x), 0.0, 2.0, 0.1)
+# uniform-kernel smoothing of (max(0, X - u))^p integrates in closed form:
+# the smoothed inner mean of the higher-order measure at u = 0, on the one
+# point X = 5, with h = 0.1 * n^(-1/2) = 0.1
+ho = nr.make_higher_order_family(nr.MeasureParams(p=2.0))
+plan = nr.SmoothingPlan(frozenset({2}), nr.KernelSpec("uniform", 1, 2.0),
+                        nr.BandwidthSchedule("power", 0.1, 0.5))
+closed = nr.estimate_mixed(ho(0.0), nr.Sample([5.0]), plan).input_for(1)[0]
 print(f"\nclosed form at X=5, u=0, h=0.1, p=2: {closed:.8f} "
       f"(hand: {(5.1**3 - 4.9**3) / 0.6:.8f})")
 
 # --- bandwidth schedules and the identity check -----------------------------------
 
 print("\nschedule validity (strong approximate identity, order p=2):")
-kernel = nr.KernelSpec("uniform", 1, 2.0)
 rows = [("silverman", nr.BandwidthSchedule("silverman")),
         ("power a=1, gamma=0.4", nr.BandwidthSchedule("power", 1.0, 0.4)),
         ("power a=1, gamma=0.51", nr.BandwidthSchedule("power", 1.0, 0.51)),
         ("power a=1, gamma=0.6", nr.BandwidthSchedule("power", 1.0, 0.6))]
 for name, sched in rows:
-    chk = nr.check_strong_identity(sched, kernel, 2.0)
+    chk = nr.check_strong_identity(sched, 2.0)
     print(f"  {name:22s}: identity {'PASS' if chk.passes else 'FAIL'} "
           f"(exponent n^{chk.exponent_identity:+.2f}), "
           f"n*h^2 -> 0: {'yes' if chk.s2b_ok else 'no'}")

@@ -13,8 +13,7 @@ from .core import (CompositeSpec, EtaChain, LayerFn, PowerMaxForm, QuadratureRul
 from .errors import ConfigError, EvaluationError
 from .estimators import (BandwidthSchedule, IdentityCheck, KernelSpec, Sample,
                          SmoothingPlan, bandwidth, check_strong_identity,
-                         estimate_empirical, estimate_mixed,
-                         uniform_kernel_powermax)
+                         estimate_empirical, estimate_mixed)
 from .harness import (DistributionSummary, Histogram, Normal, ProductLaw,
                       Reference, ReplicationTable, SamplerConfig, TwoPoint,
                       Uniform, format_float, freedman_diaconis_bins,

@@ -21,7 +21,7 @@ from .asymptotics import (asymptotic_report, confidence_interval,
 from .core import eval_exact_chain
 from .errors import ConfigError, EvaluationError
 from .estimators import (BandwidthSchedule, KernelSpec, Sample, SmoothingPlan,
-                         estimate_empirical, estimate_mixed)
+                         check_strong_identity, estimate_empirical, estimate_mixed)
 from .harness import (ProductLaw, Reference, ReplicationTable, SamplerConfig,
                       dumps_json, parse_law, run_replications, sample,
                       summarize_distribution, summary_json)
@@ -181,7 +181,7 @@ def _exact(mcfg: MeasureConfig, law):
         sd = np.sqrt(var)
         prob = ScalarProblem(built, (float(mean - 6 * sd), float(mean + 12 * sd)),
                              "exact-oracle", oracle=oracle)
-        rep = minimize_scalar(prob)
+        rep = minimize_scalar(prob, flat_check_grid=0)
         return rep.theta, optimal_value_clt_variance(prob, None, rep.u_hat)
     value = float(eval_exact_chain(built, oracle).value[0])
     return value, float(exact_limit_variance(built, oracle)[0, 0])
@@ -215,7 +215,7 @@ def cmd_estimate(args) -> int:
               "seed": args.seed}
     if mcfg.kind == "higher_order":
         prob = _problem(mcfg.build(), mcfg.params.c, s, plan)
-        rep = minimize_scalar(prob)
+        rep = minimize_scalar(prob, flat_check_grid=0)
         v = optimal_value_clt_variance(prob, s, rep.u_hat)
         (lo, hi), = confidence_interval(rep.theta, v, s.n, args.level)
         doc = {"value": rep.theta, "u_hat": rep.u_hat,
@@ -336,10 +336,9 @@ def cmd_systemic(args) -> int:
 
 
 def cmd_check_identity(args) -> int:
-    from .estimators import check_strong_identity
     kernel = KernelSpec(args.kernel, args.dimension, moment_order=args.order)
     schedule = _parse_bandwidth(args.bandwidth)
-    check = check_strong_identity(schedule, kernel, args.order)
+    check = check_strong_identity(schedule, args.order)
     doc = {"passes": check.passes, "s2b_ok": check.s2b_ok, "rule": check.rule,
            "gamma": check.gamma, "exponent_identity": check.exponent_identity,
            "exponent_s2b": check.exponent_s2b, "detail": check.detail,

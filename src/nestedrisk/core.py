@@ -90,7 +90,6 @@ class CompositeSpec:
     m: int
     dims: tuple[int, ...]
     layers: tuple[LayerFn, ...]
-    label: str = ""
 
     def __post_init__(self):
         if self.m < 1:

@@ -61,7 +61,8 @@ class KernelSpec:
     """A symmetric kernel density with precomputed absolute moments.
 
     ``m1`` and ``mp`` are E|Y| and E|Y|^p (Euclidean norm for dimension > 1),
-    the quantities entering the strong-identity condition.
+    the quantities entering the strong-identity condition; an order whose
+    moment overflows a double raises ConfigError.
     """
 
     family: str
@@ -79,12 +80,19 @@ class KernelSpec:
             raise ConfigError("kernel moment order must be >= 1")
         object.__setattr__(self, "m1", self._norm_moment(1.0))
         object.__setattr__(self, "mp", self._norm_moment(self.moment_order))
+        if not np.isfinite(self.mp):
+            raise ConfigError(f"{self.family} kernel moment of order "
+                              f"{self.moment_order:g} overflows a double")
 
     def _norm_moment(self, q: float, nodes_per_dim: int = 64) -> float:
         if self.dimension == 1:
-            return _abs_moment_1d(self.family, q)
+            try:
+                return _abs_moment_1d(self.family, q)
+            except OverflowError:    # math.gamma beyond the largest double
+                return np.inf
         rule = self.convolution_rule(nodes_per_dim)
-        return float(rule.weights @ np.linalg.norm(rule.nodes, axis=1) ** q)
+        with np.errstate(over="ignore"):
+            return float(rule.weights @ np.linalg.norm(rule.nodes, axis=1) ** q)
 
     def convolution_rule(self, nodes_per_dim: int) -> QuadratureRule:
         """Tensor nodes/weights for integrating against the kernel density."""
@@ -326,22 +334,6 @@ def _powermax_smoothed_mean(spec: CompositeSpec, j: int, eta: np.ndarray | None,
                           sample_index=int(bad[0]) if bad.size else None)
 
 
-def uniform_kernel_powermax(sample: Sample, u: float, p: float, h: float) -> float:
-    """Closed-form uniform-kernel smoothed mean of (max(0, X - u))^p.
-
-    Equals (1/(2n(p+1)h)) sum_i [ (max(0, h + X_i - u))^{p+1}
-    - (max(0, -h + X_i - u))^{p+1} ], the antiderivative of the tail power
-    integrated over the kernel window.
-    """
-    if sample.m != 1:
-        raise ConfigError("uniform_kernel_powermax requires a one-dimensional sample")
-    if h <= 0:
-        raise ConfigError("bandwidth h must be positive")
-    if p <= 1:
-        raise ConfigError("power p must exceed 1")
-    return _powermax_uniform_mean(sample.data[:, 0] - u, p, h)
-
-
 def _smoothed_layer_mean(spec: CompositeSpec, j: int, eta: np.ndarray | None,
                          sample: Sample, plan: SmoothingPlan, h: float) -> np.ndarray:
     if spec.layer(j).powermax is not None:
@@ -406,21 +398,20 @@ class IdentityCheck:
     detail: str
 
 
-def check_strong_identity(schedule: BandwidthSchedule, kernel: KernelSpec,
-                          p: float) -> IdentityCheck:
-    """Decide whether the kernel/bandwidth pair is a strong approximate
-    identity of order p.
+def check_strong_identity(schedule: BandwidthSchedule, p: float) -> IdentityCheck:
+    """Decide whether a kernel scaled by the bandwidth schedule is a strong
+    approximate identity of order p.
 
     For h_n = a n^{-gamma}: sqrt(n) h_n m1 ~ n^{1/2-gamma} and
     sqrt(n) h_n^p mp ~ n^{1/2-p*gamma}; with p >= 1 the binding exponent is
     1/2 - gamma, so the check passes exactly when gamma > 1/2. The same
     threshold governs n h_n^2 -> 0. Silverman has gamma = 1/5 and fails with
-    growth exponent n^{0.3}.
+    growth exponent n^{0.3}. The kernel enters only through its moments m1
+    and mp, which are finite for every ``KernelSpec``, so the verdict does
+    not depend on it.
     """
     if p < 1:
         raise ConfigError("order p must be >= 1")
-    if not (np.isfinite(kernel.m1) and np.isfinite(kernel._norm_moment(p))):
-        raise ConfigError("kernel moments m1, mp must be finite")
     gamma = 0.2 if schedule.rule == "silverman" else schedule.exponent
     e_id = max(0.5 - gamma, 0.5 - p * gamma)
     e_s2b = 1.0 - 2.0 * gamma

@@ -285,16 +285,19 @@ def ks_distance(values: np.ndarray, mean: float, variance: float) -> float:
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
 
 
-def freedman_diaconis_bins(values: np.ndarray, lo: int = 10, hi: int = 100) -> int:
-    """Freedman-Diaconis bin count clamped to [lo, hi]."""
+_MIN_BINS, _MAX_BINS = 10, 100
+
+
+def freedman_diaconis_bins(values: np.ndarray) -> int:
+    """Freedman-Diaconis bin count clamped to [10, 100]."""
     v = np.asarray(values, dtype=float)
     q75, q25 = np.percentile(v, [75, 25])
     iqr = q75 - q25
     span = v.max() - v.min()
     if iqr <= 0 or span <= 0:
-        return lo
+        return _MIN_BINS
     width = 2.0 * iqr * v.shape[0] ** (-1.0 / 3.0)
-    return int(np.clip(np.ceil(span / width), lo, hi))
+    return int(np.clip(np.ceil(span / width), _MIN_BINS, _MAX_BINS))
 
 
 @dataclass(frozen=True)
@@ -360,9 +363,8 @@ def format_float(x) -> str:
     return format(float(x), ".17g")
 
 
-def dumps_json(obj, indent: int = 0) -> str:
+def dumps_json(obj) -> str:
     """Minimal JSON emitter that renders floats with 17 significant digits."""
-    pad = " " * indent
 
     def enc(v, depth: int) -> str:
         sp = "  " * depth
@@ -381,7 +383,7 @@ def dumps_json(obj, indent: int = 0) -> str:
             return format_float(v)
         return '"' + str(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
-    return pad + enc(obj, 0) + "\n"
+    return enc(obj, 0) + "\n"
 
 
 def summary_json(summary: DistributionSummary, config: dict) -> dict:

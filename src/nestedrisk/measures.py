@@ -37,7 +37,6 @@ class MeasureParams:
     kappa: float = 0.5
     p: float = 2.0
     c: float = 20.0
-    label: str = ""
 
     def __post_init__(self):
         if not 0.0 <= self.kappa <= 1.0:
@@ -77,8 +76,7 @@ def make_mean_semideviation(params: MeasureParams) -> CompositeSpec:
         LayerFn(f2, f2_jac, powermax=PowerMaxForm(p, lambda eta, x: eta[0] - x[:, 0])),
         LayerFn(f3),
     )
-    label = params.label or f"mean_semideviation(kappa={kappa:g}, p={p:g})"
-    return CompositeSpec(1, (1, 1, 1), layers, label)
+    return CompositeSpec(1, (1, 1, 1), layers)
 
 
 @dataclass(frozen=True)
@@ -89,15 +87,13 @@ class HigherOrderFamily:
 
     c: float
     p: float
-    label: str = ""
 
     def __call__(self, u: float) -> CompositeSpec:
         c, p, u = self.c, self.p, float(u)
-        label = self.label or f"higher_order(c={c:g}, p={p:g})"
         if p == 1.0:
             def f1_plain(x):
                 return u + c * np.maximum(0.0, x[:, 0] - u)
-            return CompositeSpec(1, (1,), (LayerFn(f1_plain),), label + f" @u={u:g}")
+            return CompositeSpec(1, (1,), (LayerFn(f1_plain),))
 
         def f2(x):
             return np.maximum(0.0, x[:, 0] - u) ** p
@@ -114,12 +110,12 @@ class HigherOrderFamily:
             LayerFn(f2, powermax=PowerMaxForm(p, lambda eta, x: x[:, 0] - u,
                                               tail_objective=c)),
         )
-        return CompositeSpec(1, (1, 1), layers, label + f" @u={u:g}")
+        return CompositeSpec(1, (1, 1), layers)
 
 
 def make_higher_order_family(params: MeasureParams) -> HigherOrderFamily:
     """Family of two-level specs for min_u { u + c ||(X - u)_+||_p }."""
-    return HigherOrderFamily(params.c, params.p, params.label)
+    return HigherOrderFamily(params.c, params.p)
 
 
 @dataclass(frozen=True)
@@ -130,7 +126,6 @@ class PortfolioFamily:
     kappa: float
     p: float
     m: int
-    label: str = ""
 
     def __call__(self, u) -> CompositeSpec:
         kappa, p = self.kappa, self.p
@@ -163,8 +158,7 @@ class PortfolioFamily:
                 p, lambda eta, x: eta[0] - x @ u, unit_slope=unit)),
             LayerFn(f3),
         )
-        label = self.label or f"portfolio_semideviation(kappa={kappa:g}, p={p:g})"
-        return CompositeSpec(self.m, (1, 1, 1), layers, label)
+        return CompositeSpec(self.m, (1, 1, 1), layers)
 
 
 def make_portfolio_semideviation(params: MeasureParams, m: int) -> PortfolioFamily:
@@ -173,7 +167,7 @@ def make_portfolio_semideviation(params: MeasureParams, m: int) -> PortfolioFami
         raise ConfigError("portfolio factory requires p > 1")
     if m < 1:
         raise ConfigError("portfolio dimension must be >= 1")
-    return PortfolioFamily(params.kappa, params.p, int(m), params.label)
+    return PortfolioFamily(params.kappa, params.p, int(m))
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +308,7 @@ def stack_specs(components: Sequence[CompositeSpec]) -> CompositeSpec:
         return LayerFn(ev, jac if declared else None)
 
     layers = tuple(make_layer(j) for j in range(1, k + 2))
-    label = " | ".join(c.label for c in comps)
-    return CompositeSpec(int(x_off[-1]), dims, layers, label)
+    return CompositeSpec(int(x_off[-1]), dims, layers)
 
 
 def systemic_value(estimates, spec: SystemicSpec) -> float:
@@ -332,8 +325,6 @@ class SystemicLimitSummary:
 
     quantiles: dict
     variance: float
-    mean: float
-    samples: int
 
 
 def systemic_limit(spec: SystemicSpec, limit_cov, value, samples: int,
@@ -375,8 +366,7 @@ def systemic_limit(spec: SystemicSpec, limit_cov, value, samples: int,
         draws = (bumped - base) / t
 
     qs = {q_: float(np.percentile(draws, q_)) for q_ in (5, 25, 50, 75, 95)}
-    return SystemicLimitSummary(qs, float(np.var(draws, ddof=1)) if samples > 1 else 0.0,
-                                float(draws.mean()), samples)
+    return SystemicLimitSummary(qs, float(np.var(draws, ddof=1)) if samples > 1 else 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def mean_spec():
     def f1(x):
         return x[:, 0]
 
-    return CompositeSpec(1, (1,), (LayerFn(f1),), "mean")
+    return CompositeSpec(1, (1,), (LayerFn(f1),))
 
 
 def linear_spec(matrices, m: int = 1):
@@ -129,4 +129,4 @@ def linear_spec(matrices, m: int = 1):
         return wide[:, :d_last]
 
     layers.append(LayerFn(inner))
-    return CompositeSpec(m, tuple(dims), tuple(layers), "linear")
+    return CompositeSpec(m, tuple(dims), tuple(layers))

@@ -28,6 +28,7 @@ import pytest
 
 import nestedrisk as nr
 from nestedrisk._rng import derive_seed
+from nestedrisk.estimators import _powermax_uniform_mean
 from nestedrisk.asymptotics import _sigma
 
 from naive import mean_spec, nested_empirical, stacked_covariance
@@ -99,7 +100,7 @@ def test_criterion_2_closed_form_matches_quadrature():
     p = rng.uniform(1.0 + 1e-6, 3.0, size=n_probes)
 
     closed = np.array([
-        nr.uniform_kernel_powermax(nr.Sample(np.array([xi])), ui, pi, hi)
+        _powermax_uniform_mean(np.array([xi - ui]), pi, hi)
         for xi, ui, pi, hi in zip(x, u, p, h)])
 
     # oracle: convolution quadrature with the window split at the kink
@@ -123,7 +124,7 @@ def test_criterion_2_closed_form_matches_quadrature():
         ui = rng.normal(0.0, 2.0)
         hi = 10 ** rng.uniform(-3, 0.3)
         pi = rng.uniform(1.01, 3.0)
-        cf = nr.uniform_kernel_powermax(nr.Sample(xs), ui, pi, hi)
+        cf = _powermax_uniform_mean(xs - ui, pi, hi)
         acc = 0.0
         for xi in xs:
             kk = np.clip(ui - xi, -hi, hi)
@@ -186,7 +187,7 @@ def test_criterion_4b_difference_distribution_ks():
     schedule = nr.BandwidthSchedule("power", 1.0, 0.51)
     plan = _uniform_plan(schedule)
     assert C <= np.sqrt(n), f"c={C} > sqrt(n)={np.sqrt(n):.2f}"
-    identity = nr.check_strong_identity(schedule, plan.kernel, P)
+    identity = nr.check_strong_identity(schedule, P)
     assert identity.passes, identity.detail
     pX, pY = _exact_problem(10.0, 3.0), _exact_problem(20.0, 5.0)
     thX, thY = nr.minimize_scalar(pX), nr.minimize_scalar(pY)
@@ -324,20 +325,17 @@ def test_criterion_8_identity_check_grid():
     gammas_pass = (0.51, 0.6, 0.75, 1.0, 3.0)
     gammas_fail = (0.1, 0.2, 0.4, 0.5)
     ok = True
-    for family in ("uniform", "gaussian", "epanechnikov"):
-        for p in (1.0, 2.0, 3.0):
-            kernel = nr.KernelSpec(family, 1, moment_order=p)
-            for g in gammas_pass:
-                ok &= nr.check_strong_identity(
-                    nr.BandwidthSchedule("power", 1.0, g), kernel, p).passes
-            for g in gammas_fail:
-                ok &= not nr.check_strong_identity(
-                    nr.BandwidthSchedule("power", 1.0, g), kernel, p).passes
+    for p in (1.0, 2.0, 3.0):
+        for g in gammas_pass:
+            ok &= nr.check_strong_identity(
+                nr.BandwidthSchedule("power", 1.0, g), p).passes
+        for g in gammas_fail:
             ok &= not nr.check_strong_identity(
-                nr.BandwidthSchedule("silverman"), kernel, p).passes
+                nr.BandwidthSchedule("power", 1.0, g), p).passes
+        ok &= not nr.check_strong_identity(nr.BandwidthSchedule("silverman"), p).passes
     assert _report(8, "strong-identity check grid", ok,
                    "power gamma>1/2 pass; gamma<=1/2 and silverman fail "
-                   "across p in {1,2,3} and all kernels")
+                   "across p in {1,2,3}")
 
 
 def test_criterion_9_determinism_across_workers():

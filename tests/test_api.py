@@ -2,6 +2,8 @@
 of exported names are deliberate and visible in review, and the README's
 python block, run as written."""
 
+import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -26,12 +28,92 @@ PUBLIC_NAMES = [
     "optimal_value_clt_variance", "optimal_value_limit_covariance", "optimize",
     "parse_law", "parse_measure", "propagate_direction", "run_replications",
     "sample", "stack_specs", "summarize_distribution", "systemic_limit",
-    "systemic_value", "uniform_kernel_powermax",
+    "systemic_value",
 ]
+
+# The values a caller can set: the fields of each public dataclass that its
+# constructor takes, and the parameters of each public function (and of
+# harness.dumps_json, which the CLI and benchmark write through).
+SETTABLE_FIELDS = {
+    "AsymptoticReport": "limit_cov intervals",
+    "BandwidthSchedule": "rule scale exponent",
+    "CompositeSpec": "m dims layers",
+    "DistributionSummary": "mean bias std ks degenerate reference histogram",
+    "EtaChain": "eta",
+    "HigherOrderFamily": "c p",
+    "Histogram": "bin_left bin_right density reference_density",
+    "IdentityCheck": "passes s2b_ok rule gamma exponent_identity exponent_s2b "
+                     "detail",
+    "KernelSpec": "family dimension moment_order",
+    "LayerFn": "evaluator jacobian_eta powermax",
+    "MeasureConfig": "kind params m u components systemic",
+    "MeasureParams": "kappa p c",
+    "Normal": "mean std",
+    "OptimalValueReport": "u_hat theta iterations boundary flat",
+    "OuterAggregation": "kind kappa p",
+    "PortfolioFamily": "kappa p m",
+    "PowerMaxForm": "power gap unit_slope tail_objective",
+    "ProductLaw": "laws",
+    "QuadratureRule": "nodes weights",
+    "Reference": "mean variance",
+    "ReplicationTable": "estimates config",
+    "Sample": "data",
+    "SamplerConfig": "law seed",
+    "ScalarProblem": "family bracket objective_source oracle sample plan",
+    "SmoothingPlan": "J kernel schedule convolution_nodes",
+    "SystemicLimitSummary": "quantiles variance",
+    "SystemicSpec": "weights outer",
+    "TwoPoint": "x1 x2 w",
+    "Uniform": "a b",
+}
+
+PARAMETERS = {
+    "asymptotic_report": "spec sample estimate level",
+    "bandwidth": "schedule n sigma_hat",
+    "check_strong_identity": "schedule p",
+    "confidence_interval": "value limit_cov n level",
+    "default_bracket": "sample c",
+    "estimate_empirical": "spec sample",
+    "estimate_mixed": "spec sample plan",
+    "eval_exact_chain": "spec oracle",
+    "exact_limit_variance": "spec oracle",
+    "format_float": "x",
+    "freedman_diaconis_bins": "values",
+    "ks_distance": "values mean variance",
+    "make_higher_order_family": "params",
+    "make_mean_semideviation": "params",
+    "make_portfolio_semideviation": "params m",
+    "minimize_scalar": "problem tol flat_check_grid",
+    "optimal_value_clt_variance": "problem sample u_hat",
+    "optimal_value_limit_covariance": "problems u_hats samples",
+    "parse_law": "text",
+    "parse_measure": "doc",
+    "propagate_direction": "spec chain oracle direction",
+    "run_replications": "estimator config n replications seed workers label",
+    "sample": "config n",
+    "stack_specs": "components",
+    "summarize_distribution": "table reference bins coord",
+    "systemic_limit": "spec limit_cov value samples seed",
+    "systemic_value": "estimates spec",
+    "harness.dumps_json": "obj",
+}
 
 
 def test_public_names_are_pinned():
     assert sorted(nr.__all__) == PUBLIC_NAMES
+
+
+def test_settable_fields_and_parameters_are_pinned():
+    fields = {name: " ".join(f.name for f in dataclasses.fields(obj) if f.init)
+              for name in PUBLIC_NAMES
+              if dataclasses.is_dataclass(obj := getattr(nr, name))}
+    assert fields == SETTABLE_FIELDS
+    params = {name: " ".join(inspect.signature(obj).parameters)
+              for name in PUBLIC_NAMES
+              if inspect.isfunction(obj := getattr(nr, name))}
+    params["harness.dumps_json"] = " ".join(
+        inspect.signature(nr.harness.dumps_json).parameters)
+    assert params == PARAMETERS
 
 
 def test_readme_python_block_runs_and_prints_its_commented_values(capsys):

@@ -379,6 +379,9 @@ def _systemic(outer):
      "--dimension", "0"],
     ["check-identity", "--kernel", "uniform", "--bandwidth", "silverman",
      "--order", "0.5"],
+    *[["check-identity", "--kernel", "gaussian", "--bandwidth", "power:1,0.6",
+       "--order", order, "--dimension", dim]
+      for dim in ("1", "2") for order in ("320", "400")],
     ["simulate", "--measure", "ho", "--law", _LAW4],
     ["simulate", "--measure", _PORTFOLIO4, "--law", _LAW4],
     ["simulate", "--measure", "msd", "--law", _LAW4],
@@ -398,6 +401,8 @@ def _systemic(outer):
         "systemic-nan-weight",
         "negative-bandwidth-scale", "negative-bandwidth-exponent",
         "smooth-layer-0", "kernel-dimension-0", "moment-order-below-1",
+        "gaussian-moment-order-320", "gaussian-moment-order-400",
+        "gaussian-2d-moment-order-320", "gaussian-2d-moment-order-400",
         "simulate-higher-order-4-factor-law", "simulate-4-asset-portfolio",
         "simulate-msd-4-factor-law", "gaussian-kernel-5-coordinates"])
 def test_config_error_paths_exit_2(argv, msd_json, ho_json, sys_json, capsys):

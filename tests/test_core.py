@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -193,8 +195,7 @@ def test_propagate_inner_unit_direction_matches_finite_difference():
     shifted = nr.make_mean_semideviation(params)
     bumped = CompositeSpec(
         shifted.m, shifted.dims,
-        shifted.layers[:2] + (LayerFn(lambda x: x[:, 0] + eps),),
-        "bumped")
+        shifted.layers[:2] + (LayerFn(lambda x: x[:, 0] + eps),))
     fd = (nr.eval_exact_chain(bumped, oracle).value[0] - chain.value[0]) / eps
     assert xi[0] == pytest.approx(fd, rel=1e-5)
 
@@ -344,8 +345,9 @@ def _three_level_problem():
     lambda: nr.bandwidth(nr.BandwidthSchedule("power"), 0),
     lambda: nr.Sample(np.empty((0, 1))),
     lambda: nr.Sample([1.0, np.nan]),
-    lambda: nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, 0.51),
-                                     nr.KernelSpec("uniform"), 0.5),
+    lambda: nr.KernelSpec("gaussian", 1, 400.0),
+    lambda: nr.KernelSpec("gaussian", 2, 400.0),
+    lambda: nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, 0.51), 0.5),
     lambda: nr.ks_distance(np.array([0.0, 1.0]), 0.0, 0.0),
     lambda: nr.stack_specs([]),
     lambda: nr.systemic_value([1.0], nr.SystemicSpec(
@@ -360,12 +362,16 @@ def _three_level_problem():
         "empty-sample", "product-law-oracle-100^4-nodes",
         "gaussian-kernel-64^5-nodes", "kernel-family", "bandwidth-rule",
         "bandwidth-n-0", "sample-without-rows", "sample-nan",
+        "gaussian-moment-order-400", "gaussian-2d-moment-order-400",
         "identity-order-below-1", "ks-zero-variance", "stack-no-components",
         "systemic-value-length", "measure-kind-build", "measure-kind-json",
         "objective-source", "variance-three-levels", "joint-three-levels"])
 def test_malformed_inputs_raise_config_error(build):
-    with pytest.raises(nr.ConfigError):
-        build()
+    # the error comes first: no numpy warning (say, a moment's overflow) ahead of it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(nr.ConfigError):
+            build()
 
 
 def test_a_layer_that_raises_raises_where_it_is_evaluated():

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 import nestedrisk as nr
 from nestedrisk import estimators
-from nestedrisk.estimators import _kernel_nodes_1d, _powermax_tail_sums
+from nestedrisk.estimators import (_kernel_nodes_1d, _powermax_tail_sums,
+                                   _powermax_uniform_mean)
 
 from naive import mean_spec, nested_empirical, smoothed_row_mean
 
@@ -373,22 +374,20 @@ def test_powermax_tag_is_checked_against_its_layer(family, case):
         nr.estimate_mixed(bad, s, plan)
 
 
-# --- uniform_kernel_powermax ----------------------------------------------------
+# --- the uniform-kernel closed form, _powermax_uniform_mean(X - u, p, h) ---------
 
 def test_powermax_single_point_at_u():
-    s = nr.Sample(np.array([0.0]))
-    assert nr.uniform_kernel_powermax(s, 0.0, 2.0, 1.0) == pytest.approx(1 / 6, abs=1e-15)
+    assert _powermax_uniform_mean(np.array([0.0]), 2.0, 1.0) == pytest.approx(
+        1 / 6, abs=1e-15)
 
 
 def test_powermax_all_below_window():
-    s = nr.Sample(np.array([-3.0, -2.5, -4.0]))
-    assert nr.uniform_kernel_powermax(s, 0.0, 2.0, 1.0) == 0.0
+    assert _powermax_uniform_mean(np.array([-3.0, -2.5, -4.0]), 2.0, 1.0) == 0.0
 
 
 def test_powermax_hand_value():
     # ((5.1)^3 - (4.9)^3) / (2*(p+1)*h) with n=1, p=2, h=0.1
-    s = nr.Sample(np.array([5.0]))
-    assert nr.uniform_kernel_powermax(s, 0.0, 2.0, 0.1) == pytest.approx(
+    assert _powermax_uniform_mean(np.array([5.0]), 2.0, 0.1) == pytest.approx(
         25.003333333333252, rel=1e-12)
 
 
@@ -422,19 +421,9 @@ def test_powermax_matches_split_quadrature():
         u = rng.normal(0.0, 2.0)
         h = 10 ** rng.uniform(-3, 0.3)
         p = rng.uniform(1.01, 3.0)
-        closed = nr.uniform_kernel_powermax(nr.Sample(x), u, p, h)
+        closed = _powermax_uniform_mean(x - u, p, h)
         quad = _split_convolution_quadrature(x, u, p, h)
         assert abs(closed - quad) <= 1e-8 * max(1.0, abs(closed))
-
-
-def test_powermax_input_validation():
-    s = nr.Sample(np.array([1.0]))
-    with pytest.raises(nr.ConfigError):
-        nr.uniform_kernel_powermax(s, 0.0, 2.0, 0.0)
-    with pytest.raises(nr.ConfigError):
-        nr.uniform_kernel_powermax(s, 0.0, 1.0, 0.5)
-    with pytest.raises(nr.ConfigError):
-        nr.uniform_kernel_powermax(nr.Sample(np.zeros((3, 2))), 0.0, 2.0, 0.5)
 
 
 # --- bandwidth ------------------------------------------------------------------
@@ -494,21 +483,18 @@ def test_kernel_moment_closed_forms():
 # --- check_strong_identity ----------------------------------------------------------
 
 def test_identity_check_pass_and_fail_exponents():
-    kernel = nr.KernelSpec("uniform", 1, 2.0)
-    ok = nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, 0.6), kernel, 2.0)
+    ok = nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, 0.6), 2.0)
     assert ok.passes and ok.s2b_ok
     assert ok.exponent_identity == pytest.approx(-0.1)
-    bad = nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, 0.2), kernel, 2.0)
+    bad = nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, 0.2), 2.0)
     assert not bad.passes and not bad.s2b_ok
     assert bad.exponent_identity == pytest.approx(0.3)
-    silver = nr.check_strong_identity(nr.BandwidthSchedule("silverman"), kernel, 2.0)
+    silver = nr.check_strong_identity(nr.BandwidthSchedule("silverman"), 2.0)
     assert not silver.passes and silver.exponent_identity == pytest.approx(0.3)
 
 
 def test_identity_check_degenerate_huge_gamma_passes():
-    kernel = nr.KernelSpec("uniform", 1, 2.0)
-    check = nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, 50.0),
-                                     kernel, 2.0)
+    check = nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, 50.0), 2.0)
     assert check.passes and check.s2b_ok
 
 

@@ -743,7 +743,7 @@ def test_optimal_value_clt_emerges_at_large_n():
 
     n, R = 20_000, 600
     assert c <= np.sqrt(n)
-    assert nr.check_strong_identity(plan.schedule, plan.kernel, p).passes
+    assert nr.check_strong_identity(plan.schedule, p).passes
     tab = nr.run_replications(estimator, nr.SamplerConfig(law, 0), n, R, seed=15)
     z = np.sqrt(n) * (tab.estimates[:, 0] - theta) / np.sqrt(v)
     assert nr.ks_distance(z, 0.0, 1.0) < 0.08
