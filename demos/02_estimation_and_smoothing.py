@@ -56,7 +56,7 @@ rows = [("silverman", nr.BandwidthSchedule("silverman")),
         ("power a=1, gamma=0.51", nr.BandwidthSchedule("power", 1.0, 0.51)),
         ("power a=1, gamma=0.6", nr.BandwidthSchedule("power", 1.0, 0.6))]
 for name, sched in rows:
-    chk = nr.check_strong_identity(sched, 2.0)
+    chk = nr.check_strong_identity(sched)
     print(f"  {name:22s}: identity {'PASS' if chk.passes else 'FAIL'} "
           f"(exponent n^{chk.exponent_identity:+.2f}), "
           f"n*h^2 -> 0: {'yes' if chk.s2b_ok else 'no'}")

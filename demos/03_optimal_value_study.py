@@ -67,7 +67,7 @@ print("(the kernel estimator is visibly less biased at every n; both are "
 # for c > sqrt(n) the estimator is still in its sample-maximum regime
 power = nr.SmoothingPlan(frozenset({2}), nr.KernelSpec("uniform", 1, 2.0),
                          nr.BandwidthSchedule("power", 1.0, 0.51))
-identity = nr.check_strong_identity(power.schedule, P)
+identity = nr.check_strong_identity(power.schedule)
 print("\nKS distance of sqrt(n)(theta_n - theta)/sd_limit vs N(0,1) "
       "(kernel estimator, h_n = n^(-0.51), R=300;\n"
       "sampling floor at R=300 is about 0.05):")

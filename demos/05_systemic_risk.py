@@ -25,14 +25,14 @@ pY = nr.ScalarProblem(fam, (6.0, 47.0), "exact-oracle", oracle=lawY.oracle())
 repX, repY = nr.minimize_scalar(pX), nr.minimize_scalar(pY)
 rho = np.array([repX.theta, repY.theta])
 
-outer = nr.OuterAggregation("mean_semideviation", kappa=0.5, p=2.0)
+outer = nr.OuterAggregation(kappa=0.5, p=2.0)
 spec = nr.SystemicSpec((0.5, 0.5), outer)
 exact = nr.systemic_value(rho, spec)
 print(f"component risks: {rho[0]:.4f}, {rho[1]:.4f}")
 print(f"systemic value: {exact:.4f}")
 
 # linear aggregation for contrast
-lin = nr.SystemicSpec(spec.weights, nr.OuterAggregation("linear"))
+lin = nr.SystemicSpec(spec.weights, nr.OuterAggregation())
 print(f"linear aggregation would give: {nr.systemic_value(rho, lin):.4f}")
 
 # --- the sampled limit distribution ---------------------------------------------

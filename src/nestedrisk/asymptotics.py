@@ -167,12 +167,11 @@ def propagate_direction(spec: CompositeSpec, chain: EtaChain,
     """Propagate a perturbation direction d = (d_1, ..., d_{k+1}) through
     the composition.
 
-    Entries for j <= k may be callables eta -> vector or constant vectors;
-    the last entry is a constant vector of dimension m_k. Computes xi_1(d)
+    Entry d_j is a constant vector of dimension m_{j-1}. Computes xi_1(d)
     by the backward recursion xi_{k+1} = d_{k+1},
-    xi_j = E[J_j(eta_{j+1}, X)] xi_{j+1} + d_j(eta_{j+1}), with the
-    expected Jacobians under the oracle; in the differentiable case this is
-    the chain-matrix linearization of the composite at the chain point.
+    xi_j = E[J_j(eta_{j+1}, X)] xi_{j+1} + d_j, with the expected Jacobians
+    under the oracle; in the differentiable case this is the chain-matrix
+    linearization of the composite at the chain point.
     """
     if len(direction) != spec.k + 1:
         raise ConfigError(f"direction must have {spec.k + 1} entries")
@@ -181,12 +180,10 @@ def propagate_direction(spec: CompositeSpec, chain: EtaChain,
         raise ConfigError("d_{k+1} has wrong dimension")
     jmeans = _jacobian_means(spec, chain, oracle.nodes, oracle.weights)
     for j in range(spec.k, 0, -1):
-        eta_in = chain.input_for(j)
-        dj = direction[j - 1]
-        dj_val = np.asarray(dj(eta_in) if callable(dj) else dj, dtype=float).reshape(-1)
-        if dj_val.shape[0] != spec.dims[j - 1]:
+        dj = np.asarray(direction[j - 1], dtype=float).reshape(-1)
+        if dj.shape[0] != spec.dims[j - 1]:
             raise ConfigError(f"direction entry {j} has wrong dimension")
-        xi = jmeans[j - 1] @ xi + dj_val
+        xi = jmeans[j - 1] @ xi + dj
     return xi
 
 

@@ -46,17 +46,16 @@ def _add_common(p: argparse.ArgumentParser, *, law2: bool = False) -> None:
     p.add_argument("--seed", type=int, default=0, help="64-bit stream seed")
     p.add_argument("--kernel", choices=_KERNELS, default=None,
                    help="smooth with this kernel (omit for pure empirical)")
-    p.add_argument("--bandwidth", default="silverman",
-                   help="bandwidth schedule: 'silverman' or 'power:a,gamma'")
-    p.add_argument("--smooth-layers", default="2",
-                   help="comma list of layer indices to smooth (with --kernel)")
-    p.add_argument("--level", type=float, default=0.95, help="confidence level")
+    p.add_argument("--bandwidth", default=None, help="bandwidth schedule (with "
+                   "--kernel): 'silverman' (default) or 'power:a,gamma'")
+    p.add_argument("--smooth-layers", default=None, help="with --kernel: comma "
+                   "list of layer indices to smooth (default 2)")
     p.add_argument("--out", default="-", help="output path ('-' for stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="json",
-                   dest="fmt", help="csv: estimates table; json: summary")
 
 
 def _add_replication(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("csv", "json"), default="json",
+                   dest="fmt", help="csv: estimates table; json: summary")
     p.add_argument("--replications", type=int, default=1000)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--bins", type=int, default=None, help="histogram bin count")
@@ -73,6 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="one-shot estimate with CI")
     _add_common(p)
+    p.add_argument("--level", type=float, default=None,
+                   help="confidence level (default 0.95; not for a systemic measure)")
 
     p = sub.add_parser("simulate", help="replication study for one measure")
     _add_common(p)
@@ -118,13 +119,17 @@ def _parse_bandwidth(text: str) -> BandwidthSchedule:
 
 def _plan_from_args(args, m: int) -> SmoothingPlan | None:
     if args.kernel is None:
+        if args.bandwidth is not None or args.smooth_layers is not None:
+            raise ConfigError("--bandwidth and --smooth-layers need --kernel")
         return None
+    text = "2" if args.smooth_layers is None else args.smooth_layers
     try:
-        layers = frozenset(int(v) for v in args.smooth_layers.split(","))
+        layers = frozenset(int(v) for v in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad --smooth-layers {args.smooth_layers!r}") from exc
+        raise ConfigError(f"bad --smooth-layers {text!r}") from exc
     kernel = KernelSpec(args.kernel, m, moment_order=2.0)
-    return SmoothingPlan(layers, kernel, _parse_bandwidth(args.bandwidth))
+    return SmoothingPlan(layers, kernel, _parse_bandwidth(
+        "silverman" if args.bandwidth is None else args.bandwidth))
 
 
 def _write(path: str, text: str) -> None:
@@ -208,6 +213,9 @@ def cmd_estimate(args) -> int:
     mcfg = parse_measure(args.measure)
     law = parse_law(args.law)
     systemic = mcfg.kind == "systemic"
+    if systemic and args.level is not None:
+        raise ConfigError("a systemic estimate prints no interval: drop --level")
+    level = 0.95 if args.level is None else args.level
     plan = _plan_from_args(args, 1 if systemic else law.dimension)
     cfg = SamplerConfig(law, args.seed)
     s = sample(cfg, args.n)
@@ -217,9 +225,9 @@ def cmd_estimate(args) -> int:
         prob = _problem(mcfg.build(), mcfg.params.c, s, plan)
         rep = minimize_scalar(prob, flat_check_grid=0)
         v = optimal_value_clt_variance(prob, s, rep.u_hat)
-        (lo, hi), = confidence_interval(rep.theta, v, s.n, args.level)
+        (lo, hi), = confidence_interval(rep.theta, v, s.n, level)
         doc = {"value": rep.theta, "u_hat": rep.u_hat,
-               "limit_variance": v, "level": args.level,
+               "limit_variance": v, "level": level,
                "interval": [lo, hi],
                "boundary": rep.boundary,
                "config": config}
@@ -233,10 +241,10 @@ def cmd_estimate(args) -> int:
         spec = _scalar_build(mcfg)
         chain = estimate_mixed(spec, s, plan) if plan is not None \
             else estimate_empirical(spec, s)
-        arep = asymptotic_report(spec, s, chain, level=args.level)
+        arep = asymptotic_report(spec, s, chain, level=level)
         doc = {"value": chain.value.tolist(),
                "limit_covariance": arep.limit_cov.tolist(),
-               "level": args.level,
+               "level": level,
                "interval": [list(iv) for iv in arep.intervals],
                "config": config}
     _write(args.out, dumps_json(doc))
@@ -338,7 +346,7 @@ def cmd_systemic(args) -> int:
 def cmd_check_identity(args) -> int:
     kernel = KernelSpec(args.kernel, args.dimension, moment_order=args.order)
     schedule = _parse_bandwidth(args.bandwidth)
-    check = check_strong_identity(schedule, args.order)
+    check = check_strong_identity(schedule)
     doc = {"passes": check.passes, "s2b_ok": check.s2b_ok, "rule": check.rule,
            "gamma": check.gamma, "exponent_identity": check.exponent_identity,
            "exponent_s2b": check.exponent_s2b, "detail": check.detail,

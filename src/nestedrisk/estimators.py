@@ -103,7 +103,8 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class BandwidthSchedule:
-    """Bandwidth rule h_n: silverman (1.06 sigma n^{-1/5}) or power (a n^{-gamma})."""
+    """Bandwidth rule h_n: silverman (1.06 sigma n^{-1/5}) or power (a n^{-gamma}).
+    Only the power rule reads ``scale`` and ``exponent``."""
 
     rule: str
     scale: float = 1.0
@@ -112,6 +113,8 @@ class BandwidthSchedule:
     def __post_init__(self):
         if self.rule not in ("silverman", "power"):
             raise ConfigError("bandwidth rule must be 'silverman' or 'power'")
+        if self.rule == "silverman" and (self.scale, self.exponent) != (1.0, 0.5):
+            raise ConfigError("a silverman bandwidth takes no scale or exponent")
         if self.scale <= 0:
             raise ConfigError("bandwidth scale must be positive")
         if self.rule == "power" and self.exponent <= 0:
@@ -398,22 +401,20 @@ class IdentityCheck:
     detail: str
 
 
-def check_strong_identity(schedule: BandwidthSchedule, p: float) -> IdentityCheck:
+def check_strong_identity(schedule: BandwidthSchedule) -> IdentityCheck:
     """Decide whether a kernel scaled by the bandwidth schedule is a strong
-    approximate identity of order p.
+    approximate identity.
 
     For h_n = a n^{-gamma}: sqrt(n) h_n m1 ~ n^{1/2-gamma} and
-    sqrt(n) h_n^p mp ~ n^{1/2-p*gamma}; with p >= 1 the binding exponent is
-    1/2 - gamma, so the check passes exactly when gamma > 1/2. The same
-    threshold governs n h_n^2 -> 0. Silverman has gamma = 1/5 and fails with
-    growth exponent n^{0.3}. The kernel enters only through its moments m1
-    and mp, which are finite for every ``KernelSpec``, so the verdict does
-    not depend on it.
+    sqrt(n) h_n^p mp ~ n^{1/2-p*gamma}; for every order p >= 1 the binding
+    exponent is 1/2 - gamma, so the check passes exactly when gamma > 1/2,
+    whatever p. The same threshold governs n h_n^2 -> 0. Silverman has
+    gamma = 1/5 and fails with growth exponent n^{0.3}. The kernel enters
+    only through its moments m1 and mp, which are finite for every
+    ``KernelSpec``, so the verdict does not depend on it.
     """
-    if p < 1:
-        raise ConfigError("order p must be >= 1")
     gamma = 0.2 if schedule.rule == "silverman" else schedule.exponent
-    e_id = max(0.5 - gamma, 0.5 - p * gamma)
+    e_id = 0.5 - gamma
     e_s2b = 1.0 - 2.0 * gamma
     passes = e_id < 0
     s2b_ok = e_s2b < 0

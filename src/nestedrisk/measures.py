@@ -176,19 +176,16 @@ def make_portfolio_semideviation(params: MeasureParams, m: int) -> PortfolioFami
 
 @dataclass(frozen=True)
 class OuterAggregation:
-    """Aggregation of component risks: linear scalarization or an outer
-    mean-semideviation on the finite component space."""
+    """Aggregation of component risks: an outer mean-semideviation on the
+    finite component space, whose kappa = 0 is the linear scalarization."""
 
-    kind: str
     kappa: float = 0.0
     p: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in ("linear", "mean_semideviation"):
-            raise ConfigError("outer kind must be 'linear' or 'mean_semideviation'")
         if not 0.0 <= self.kappa <= 1.0:
             raise ConfigError("outer kappa must lie in [0, 1]")
-        if self.kind == "mean_semideviation" and self.p < 1.0:
+        if self.p < 1.0:
             raise ConfigError("outer order p must be >= 1")
 
     def aggregate(self, weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -201,7 +198,7 @@ class OuterAggregation:
         batched = rho.ndim == 2
         r = rho if batched else rho[None, :]
         mean = r @ weights
-        if self.kind == "linear" or self.kappa == 0.0:
+        if self.kappa == 0.0:
             out = mean
         else:
             dev = np.maximum(0.0, r - mean[:, None])
@@ -356,7 +353,7 @@ def systemic_limit(spec: SystemicSpec, limit_cov, value, samples: int,
     xi = z @ factor.T
 
     w = spec.weight_vector
-    if spec.outer.kind == "linear" or spec.outer.kappa == 0.0:
+    if spec.outer.kappa == 0.0:
         draws = xi @ w
     else:
         base = float(spec.outer.aggregate(w, rho))
@@ -415,14 +412,32 @@ class MeasureConfig:
             return doc
         if self.kind == "systemic":
             agg = self.systemic.outer
-            outer = {"kind": agg.kind}
-            if agg.kind == "mean_semideviation":
-                outer.update(kappa=agg.kappa, p=agg.p)
+            outer = {"kind": "linear"} if agg.kappa == 0.0 else \
+                {"kind": "mean_semideviation", "kappa": agg.kappa, "p": agg.p}
             return {"kind": self.kind,
                     "weights": list(self.systemic.weights),
                     "outer": outer,
                     "components": [c.to_json() for c in self.components]}
         raise ConfigError(f"unknown measure kind {self.kind!r}")
+
+
+# the keys a document of each kind reads; an outer document's kind is
+# "linear" when it names none, and a linear outer reads no other key
+_KEYS = {"mean_semideviation": {"kind", "kappa", "p"},
+         "higher_order": {"kind", "c", "p"},
+         "portfolio_semideviation": {"kind", "kappa", "p", "m", "u"},
+         "systemic": {"kind", "weights", "outer", "components"}}
+_OUTER_KEYS = {"linear": {"kind"}, "mean_semideviation": {"kind", "kappa", "p"}}
+
+
+def _check_keys(doc: dict, kind, table: dict, unknown: str, what: str) -> None:
+    """Refuse a kind the table does not hold (with the message ``unknown``)
+    and a document key that its kind does not read."""
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(unknown)
+    extra = sorted(repr(key) for key in doc.keys() - table[kind])
+    if extra:
+        raise ConfigError(f"{what} kind {kind!r} does not read {', '.join(extra)}")
 
 
 def parse_measure(doc) -> MeasureConfig:
@@ -443,6 +458,7 @@ def parse_measure(doc) -> MeasureConfig:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError("measure document must be an object with a 'kind'")
     kind = doc["kind"]
+    _check_keys(doc, kind, _KEYS, f"unknown measure kind {kind!r}", "measure")
     try:
         if kind == "mean_semideviation":
             return MeasureConfig(kind, MeasureParams(
@@ -458,29 +474,26 @@ def parse_measure(doc) -> MeasureConfig:
                               p=float(doc.get("p", 2.0))),
                 m=int(doc.get("m", 1)),
                 u=None if u is None else tuple(float(v) for v in u))
-        if kind == "systemic":
-            outer_doc = doc.get("outer", {"kind": "linear"})
-            if not isinstance(outer_doc, dict):
-                raise ConfigError("systemic 'outer' must be an object")
-            outer = OuterAggregation(
-                outer_doc.get("kind", "linear"),
-                kappa=float(outer_doc.get("kappa", 0.0)),
-                p=float(outer_doc.get("p", 2.0)))
-            comps = tuple(parse_measure(c) for c in doc.get("components", []))
-            if not comps:
-                raise ConfigError("systemic measure needs at least one component")
-            weights = doc.get("weights")
-            if weights is None:
-                weights = [1.0 / len(comps)] * len(comps)
-            systemic = SystemicSpec(tuple(float(w) for w in weights), outer)
+        outer_doc = doc.get("outer", {})
+        if not isinstance(outer_doc, dict):
+            raise ConfigError("systemic 'outer' must be an object")
+        _check_keys(outer_doc, outer_doc.get("kind", "linear"), _OUTER_KEYS,
+                    "outer kind must be 'linear' or 'mean_semideviation'", "outer")
+        outer = OuterAggregation(kappa=float(outer_doc.get("kappa", 0.0)),
+                                 p=float(outer_doc.get("p", 2.0)))
+        comps = tuple(parse_measure(c) for c in doc.get("components", []))
+        if not comps:
+            raise ConfigError("systemic measure needs at least one component")
+        weights = doc.get("weights")
+        if weights is None:
+            weights = [1.0 / len(comps)] * len(comps)
+        systemic = SystemicSpec(tuple(float(w) for w in weights), outer)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid measure parameters: {exc}") from exc
     # only the systemic branch gets here: its weights-length error is not
     # a parameter-parsing error, and reads as SystemicSpec's does
-    if kind != "systemic":
-        raise ConfigError(f"unknown measure kind {kind!r}")
     if len(systemic.weights) != len(comps):
         raise ConfigError("one weight per component is required")
     return MeasureConfig(kind, MeasureParams(), components=comps, systemic=systemic)

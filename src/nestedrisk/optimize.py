@@ -31,7 +31,9 @@ from .measures import stack_specs
 _GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
 _EPS = 4.0 * np.finfo(float).eps
 
-OBJECTIVE_SOURCES = ("exact-oracle", "empirical-sample", "mixed-plan")
+# the ScalarProblem fields each objective source reads
+_SOURCE_FIELDS = {"exact-oracle": ("oracle",), "empirical-sample": ("sample",),
+                  "mixed-plan": ("sample", "plan")}
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,7 @@ class ScalarProblem:
 
     Exactly one backing input is used, chosen by ``objective_source``:
     the oracle (exact), the sample (empirical), or sample + plan (mixed).
+    A field that the source does not read must be left None.
     """
 
     family: Callable[[float], CompositeSpec]
@@ -53,15 +56,13 @@ class ScalarProblem:
         lo, hi = self.bracket
         if not lo < hi:
             raise ConfigError("bracket must satisfy lo < hi")
-        if self.objective_source not in OBJECTIVE_SOURCES:
-            raise ConfigError(f"objective_source must be one of {OBJECTIVE_SOURCES}")
-        if self.objective_source == "exact-oracle" and self.oracle is None:
-            raise ConfigError("exact-oracle problems need an oracle")
-        if self.objective_source == "empirical-sample" and self.sample is None:
-            raise ConfigError("empirical-sample problems need a sample")
-        if self.objective_source == "mixed-plan" and (self.sample is None
-                                                      or self.plan is None):
-            raise ConfigError("mixed-plan problems need a sample and a plan")
+        reads = _SOURCE_FIELDS.get(self.objective_source)
+        if reads is None:
+            raise ConfigError(f"objective_source must be one of {tuple(_SOURCE_FIELDS)}")
+        for name in ("oracle", "sample", "plan"):
+            if (getattr(self, name) is None) == (name in reads):
+                need = "need" if name in reads else "take no"
+                raise ConfigError(f"{self.objective_source} problems {need} {name!r}")
 
     def objective(self) -> Callable[[float], float]:
         """Scalar objective u -> estimated/exact composite value: the nested

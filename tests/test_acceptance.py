@@ -187,7 +187,7 @@ def test_criterion_4b_difference_distribution_ks():
     schedule = nr.BandwidthSchedule("power", 1.0, 0.51)
     plan = _uniform_plan(schedule)
     assert C <= np.sqrt(n), f"c={C} > sqrt(n)={np.sqrt(n):.2f}"
-    identity = nr.check_strong_identity(schedule, P)
+    identity = nr.check_strong_identity(schedule)
     assert identity.passes, identity.detail
     pX, pY = _exact_problem(10.0, 3.0), _exact_problem(20.0, 5.0)
     thX, thY = nr.minimize_scalar(pX), nr.minimize_scalar(pY)
@@ -213,7 +213,7 @@ def test_criterion_4b_difference_distribution_ks():
 def _systemic_setup():
     pX, pY = _exact_problem(10.0, 3.0), _exact_problem(20.0, 5.0)
     repX, repY = nr.minimize_scalar(pX), nr.minimize_scalar(pY)
-    outer = nr.OuterAggregation("mean_semideviation", kappa=0.5, p=2.0)
+    outer = nr.OuterAggregation(kappa=0.5, p=2.0)
     spec = nr.SystemicSpec((0.5, 0.5), outer)
     return spec, repX, repY
 
@@ -325,17 +325,13 @@ def test_criterion_8_identity_check_grid():
     gammas_pass = (0.51, 0.6, 0.75, 1.0, 3.0)
     gammas_fail = (0.1, 0.2, 0.4, 0.5)
     ok = True
-    for p in (1.0, 2.0, 3.0):
-        for g in gammas_pass:
-            ok &= nr.check_strong_identity(
-                nr.BandwidthSchedule("power", 1.0, g), p).passes
-        for g in gammas_fail:
-            ok &= not nr.check_strong_identity(
-                nr.BandwidthSchedule("power", 1.0, g), p).passes
-        ok &= not nr.check_strong_identity(nr.BandwidthSchedule("silverman"), p).passes
+    for g in gammas_pass:
+        ok &= nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, g)).passes
+    for g in gammas_fail:
+        ok &= not nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, g)).passes
+    ok &= not nr.check_strong_identity(nr.BandwidthSchedule("silverman")).passes
     assert _report(8, "strong-identity check grid", ok,
-                   "power gamma>1/2 pass; gamma<=1/2 and silverman fail "
-                   "across p in {1,2,3}")
+                   "power gamma>1/2 pass; gamma<=1/2 and silverman fail")
 
 
 def test_criterion_9_determinism_across_workers():

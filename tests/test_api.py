@@ -50,7 +50,7 @@ SETTABLE_FIELDS = {
     "MeasureParams": "kappa p c",
     "Normal": "mean std",
     "OptimalValueReport": "u_hat theta iterations boundary flat",
-    "OuterAggregation": "kind kappa p",
+    "OuterAggregation": "kappa p",
     "PortfolioFamily": "kappa p m",
     "PowerMaxForm": "power gap unit_slope tail_objective",
     "ProductLaw": "laws",
@@ -70,7 +70,7 @@ SETTABLE_FIELDS = {
 PARAMETERS = {
     "asymptotic_report": "spec sample estimate level",
     "bandwidth": "schedule n sigma_hat",
-    "check_strong_identity": "schedule p",
+    "check_strong_identity": "schedule",
     "confidence_interval": "value limit_cov n level",
     "default_bracket": "sample c",
     "estimate_empirical": "spec sample",

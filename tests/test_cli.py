@@ -172,8 +172,7 @@ def test_systemic_runs(sys_json, tmp_path):
         rep = nr.minimize_scalar(prob)
         thetas.append(rep.theta)
         variances.append(nr.optimal_value_clt_variance(prob, None, rep.u_hat))
-    spec = nr.SystemicSpec((0.5, 0.5), nr.OuterAggregation("mean_semideviation",
-                                                           kappa=0.5, p=2.0))
+    spec = nr.SystemicSpec((0.5, 0.5), nr.OuterAggregation(kappa=0.5, p=2.0))
     lim = nr.systemic_limit(spec, np.diag(variances), np.array(thetas), 20000, 6)
     assert doc["exact_components"] == thetas
     assert doc["limit_variance"] == lim.variance
@@ -220,7 +219,7 @@ def test_estimate_on_systemic_measure(sys_json, tmp_path):
         prob = nr.ScalarProblem(fam, nr.default_bracket(col, 20.0),
                                 "empirical-sample", sample=col)
         thetas.append(nr.minimize_scalar(prob, flat_check_grid=0).theta)
-    outer = nr.OuterAggregation("mean_semideviation", kappa=0.5, p=2.0)
+    outer = nr.OuterAggregation(kappa=0.5, p=2.0)
     spec = nr.SystemicSpec((0.5, 0.5), outer)
     assert doc["components"] == thetas
     assert doc["value"] == nr.systemic_value(thetas, spec)
@@ -362,7 +361,8 @@ def _systemic(outer):
     ["estimate", "--measure", _PORTFOLIO_P1, "--law", _LAW],
     ["estimate", "--measure", _PORTFOLIO_M0, "--law", _LAW],
     ["estimate", "--measure", _systemic({"kind": "max"}), "--law", _LAW],
-    ["estimate", "--measure", _systemic({"kind": "linear", "kappa": 2}), "--law", _LAW],
+    ["estimate", "--measure", _systemic({"kind": "mean_semideviation", "kappa": 2}),
+     "--law", _LAW],
     ["estimate", "--measure",
      _systemic({"kind": "mean_semideviation", "p": 0.5}), "--law", _LAW],
     ["estimate", "--measure", '{"kind": "higher_order",', "--law", _LAW],
@@ -387,6 +387,14 @@ def _systemic(outer):
     ["simulate", "--measure", "msd", "--law", _LAW4],
     ["estimate", "--measure", "msd", "--law", "*".join(["normal:0,1"] * 5),
      "--kernel", "gaussian"],
+    ["estimate", "--measure", '{"kind": "higher_order", "C": 5.0}', "--law", _LAW],
+    ["systemic", "--measure", json.dumps({"kind": "systemic", "wieghts": [0.9, 0.1],
+                                          "components": [{"kind": "higher_order"}] * 2}),
+     "--law", _LAWS],
+    ["systemic", "--measure", _systemic({"kind": "linear", "kappa": 0.5}), "--law", _LAW],
+    ["estimate", "--measure", "msd", "--law", _LAW, "--bandwidth", "power:1,0.6"],
+    ["simulate", "--measure", "msd", "--law", _LAW, "--smooth-layers", "1"],
+    ["estimate", "--measure", "sys", "--law", _LAWS, "--level", "0.95"],
 ], ids=["power-bandwidth-arity", "unknown-bandwidth", "smooth-layers-text",
         "compare-product-law", "systemic-scalar-measure", "systemic-law-dimension",
         "optimize-scalar-chain", "estimate-weights-length",
@@ -404,7 +412,10 @@ def _systemic(outer):
         "gaussian-moment-order-320", "gaussian-moment-order-400",
         "gaussian-2d-moment-order-320", "gaussian-2d-moment-order-400",
         "simulate-higher-order-4-factor-law", "simulate-4-asset-portfolio",
-        "simulate-msd-4-factor-law", "gaussian-kernel-5-coordinates"])
+        "simulate-msd-4-factor-law", "gaussian-kernel-5-coordinates",
+        "measure-key-C", "measure-key-wieghts", "linear-outer-kappa",
+        "bandwidth-without-kernel", "smooth-layers-without-kernel",
+        "systemic-estimate-level"])
 def test_config_error_paths_exit_2(argv, msd_json, ho_json, sys_json, capsys):
     paths = {"msd": msd_json, "ho": ho_json, "sys": sys_json}
     argv = [paths.get(a, a) for a in argv]
@@ -414,6 +425,19 @@ def test_config_error_paths_exit_2(argv, msd_json, ho_json, sys_json, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--measure", "msd", "--law", _LAW, "--level", "0.9"],
+    ["optimize", "--measure", "ho", "--law", _LAW, "--level", "0.9"],
+    ["estimate", "--measure", "msd", "--law", _LAW, "--format", "csv"],
+], ids=["simulate-level", "optimize-level", "estimate-format"])
+def test_a_flag_the_command_does_not_read_exits_2(argv, msd_json, ho_json):
+    # argparse refuses it: estimate prints no table, a study no interval
+    paths = {"msd": msd_json, "ho": ho_json}
+    with pytest.raises(SystemExit) as info:
+        run_cli([paths.get(a, a) for a in argv])
+    assert info.value.code == 2
 
 
 _ONE_COMPONENT = _systemic({"kind": "linear"})

@@ -342,16 +342,17 @@ def _three_level_problem():
     lambda: nr.KernelSpec("gaussian", 5),
     lambda: nr.KernelSpec("triangular"),
     lambda: nr.BandwidthSchedule("scott"),
+    lambda: nr.BandwidthSchedule("silverman", 5.0),
+    lambda: nr.BandwidthSchedule("silverman", exponent=0.3),
     lambda: nr.bandwidth(nr.BandwidthSchedule("power"), 0),
     lambda: nr.Sample(np.empty((0, 1))),
     lambda: nr.Sample([1.0, np.nan]),
     lambda: nr.KernelSpec("gaussian", 1, 400.0),
     lambda: nr.KernelSpec("gaussian", 2, 400.0),
-    lambda: nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, 0.51), 0.5),
     lambda: nr.ks_distance(np.array([0.0, 1.0]), 0.0, 0.0),
     lambda: nr.stack_specs([]),
     lambda: nr.systemic_value([1.0], nr.SystemicSpec(
-        (0.5, 0.5), nr.OuterAggregation("linear"))),
+        (0.5, 0.5), nr.OuterAggregation())),
     lambda: nr.MeasureConfig("var", nr.MeasureParams()).build(),
     lambda: nr.MeasureConfig("var", nr.MeasureParams()).to_json(),
     lambda: nr.ScalarProblem(_three_levels, (0.0, 1.0), "bootstrap"),
@@ -361,9 +362,10 @@ def _three_level_problem():
 ], ids=["empty-dims", "layer-count", "rule-lengths", "empty-product-law",
         "empty-sample", "product-law-oracle-100^4-nodes",
         "gaussian-kernel-64^5-nodes", "kernel-family", "bandwidth-rule",
+        "silverman-scale", "silverman-exponent",
         "bandwidth-n-0", "sample-without-rows", "sample-nan",
         "gaussian-moment-order-400", "gaussian-2d-moment-order-400",
-        "identity-order-below-1", "ks-zero-variance", "stack-no-components",
+        "ks-zero-variance", "stack-no-components",
         "systemic-value-length", "measure-kind-build", "measure-kind-json",
         "objective-source", "variance-three-levels", "joint-three-levels"])
 def test_malformed_inputs_raise_config_error(build):

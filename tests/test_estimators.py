@@ -483,18 +483,18 @@ def test_kernel_moment_closed_forms():
 # --- check_strong_identity ----------------------------------------------------------
 
 def test_identity_check_pass_and_fail_exponents():
-    ok = nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, 0.6), 2.0)
+    ok = nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, 0.6))
     assert ok.passes and ok.s2b_ok
     assert ok.exponent_identity == pytest.approx(-0.1)
-    bad = nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, 0.2), 2.0)
+    bad = nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, 0.2))
     assert not bad.passes and not bad.s2b_ok
     assert bad.exponent_identity == pytest.approx(0.3)
-    silver = nr.check_strong_identity(nr.BandwidthSchedule("silverman"), 2.0)
+    silver = nr.check_strong_identity(nr.BandwidthSchedule("silverman"))
     assert not silver.passes and silver.exponent_identity == pytest.approx(0.3)
 
 
 def test_identity_check_degenerate_huge_gamma_passes():
-    check = nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, 50.0), 2.0)
+    check = nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, 50.0))
     assert check.passes and check.s2b_ok
 
 

@@ -173,7 +173,7 @@ def test_portfolio_equal_weights_matches_aggregated_normal():
 # --- systemic aggregation ------------------------------------------------------------
 
 def outer_msd(kappa=0.5, p=2.0):
-    return nr.OuterAggregation("mean_semideviation", kappa=kappa, p=p)
+    return nr.OuterAggregation(kappa=kappa, p=p)
 
 
 def _sys_spec(outer, ell=2):
@@ -193,7 +193,7 @@ def test_systemic_value_matches_reported_configuration():
 
 
 def test_systemic_linear_outer_dot_product():
-    spec = nr.SystemicSpec((0.25, 0.75), nr.OuterAggregation("linear"))
+    spec = nr.SystemicSpec((0.25, 0.75), nr.OuterAggregation())
     assert nr.systemic_value([1.0, 3.0], spec) == pytest.approx(2.5, abs=1e-15)
 
 
@@ -201,12 +201,12 @@ def test_systemic_linear_outer_dot_product():
                          ids=["negative", "sum-1.1", "nan"])
 def test_systemic_spec_rejects_weights_that_are_not_a_law(weights):
     with pytest.raises(nr.ConfigError):
-        nr.SystemicSpec(weights, nr.OuterAggregation("linear"))
+        nr.SystemicSpec(weights, nr.OuterAggregation())
 
 
 def test_systemic_kappa_zero_equals_linear():
     spec0 = _sys_spec(outer_msd(kappa=0.0))
-    lin = _sys_spec(nr.OuterAggregation("linear"))
+    lin = _sys_spec(nr.OuterAggregation())
     rho = [1.7, 9.2]
     assert nr.systemic_value(rho, spec0) == nr.systemic_value(rho, lin)
 
@@ -253,7 +253,7 @@ def test_stacked_exact_limit_covariance_block_diagonal_for_independent():
 # --- systemic_limit ---------------------------------------------------------------------
 
 def test_systemic_limit_linear_standard_normal():
-    spec = nr.SystemicSpec((1.0, 0.0), nr.OuterAggregation("linear"))
+    spec = nr.SystemicSpec((1.0, 0.0), nr.OuterAggregation())
     lim = nr.systemic_limit(spec, np.eye(2), np.array([1.0, 1.0]), 100_000, seed=5)
     assert abs(lim.variance - 1.0) < 0.05
     assert abs(lim.quantiles[50]) < 0.02
@@ -286,7 +286,7 @@ def test_systemic_limit_matches_delta_method_gradient():
     (outer_msd(), np.eye(3), 100, [1.0, 2.0]),
     (outer_msd(), np.eye(2), 100, [1.0, 2.0, 3.0]),
     # the linear outer never reads the risk vector, but it must be one
-    (nr.OuterAggregation("linear"), np.eye(2), 100, None),
+    (nr.OuterAggregation(), np.eye(2), 100, None),
 ], ids=["no-samples", "wrong-shape", "wrong-value-length", "linear-without-value"])
 def test_systemic_limit_rejects_bad_inputs(outer, cov, samples, value):
     with pytest.raises(nr.ConfigError):
@@ -332,6 +332,9 @@ def test_measure_json_errors():
         nr.parse_measure('{"kind": "higher_order", "c": 0.5}')
 
 
+_HO = {"kind": "higher_order", "c": 20.0, "p": 2.0}
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"kind": "systemic", "outer": {"kind": "max"},
       "components": [{"kind": "higher_order"}]},
@@ -342,13 +345,38 @@ def test_measure_json_errors():
     ({"kind": "systemic", "components": [{"kind": "mean_semideviation",
                                           "kappa": "a"}]},
      "invalid measure parameters: could not convert string to float: 'a'"),
-], ids=["outer-kind", "kappa-range", "kappa-text", "component-kappa-text"])
+    # a key that the document's kind does not read, checked before any
+    # value is converted
+    ({"kind": "higher_order", "C": 5.0}, "measure kind 'higher_order' does not read 'C'"),
+    ({"kind": "systemic", "wieghts": [0.9, 0.1], "components": [_HO, _HO]},
+     "measure kind 'systemic' does not read 'wieghts'"),
+    ({"kind": "systemic", "outer": {"kind": "linear", "kappa": 0.5},
+      "components": [_HO]}, "outer kind 'linear' does not read 'kappa'"),
+    ({"kind": "systemic", "outer": {"p": 3.0}, "components": [_HO]},
+     "outer kind 'linear' does not read 'p'"),
+    ({"kind": "higher_order", "c": "a", "alpha": 0.05},
+     "measure kind 'higher_order' does not read 'alpha'"),
+    ({"kind": "systemic", "components": [{**_HO, "kappa": 0.5}]},
+     "measure kind 'higher_order' does not read 'kappa'"),
+], ids=["outer-kind", "kappa-range", "kappa-text", "component-kappa-text",
+        "key-capital-c", "key-misspelled-weights", "key-linear-outer-kappa",
+        "key-default-outer-p", "key-before-conversion", "key-of-a-component"])
 def test_measure_errors_keep_the_library_message(doc, message):
     # a ConfigError of the measure's own checks passes through as it is;
     # only a value that fails to convert is wrapped, and only once
     with pytest.raises(nr.ConfigError) as info:
         nr.parse_measure(doc)
     assert str(info.value) == message
+
+
+def test_outer_mean_semideviation_at_kappa_0_echoes_as_linear():
+    # kappa = 0 is the linear scalarization; one outer type holds both
+    doc = {"kind": "systemic", "outer": {"kind": "mean_semideviation", "kappa": 0.0},
+           "components": [_HO]}
+    assert nr.parse_measure(doc).to_json()["outer"] == {"kind": "linear"}
+    msd = {"kind": "mean_semideviation", "kappa": 0.5, "p": 3.0}
+    doc["outer"] = msd
+    assert nr.parse_measure(doc).to_json()["outer"] == msd
 
 
 def test_missing_measure_file_is_a_config_error(tmp_path):

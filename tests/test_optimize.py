@@ -114,6 +114,25 @@ def test_problem_validation():
                          sample=nr.Sample(np.array([1.0])))
 
 
+@pytest.mark.parametrize("source, field", [("exact-oracle", "sample"),
+                                           ("exact-oracle", "plan"),
+                                           ("empirical-sample", "oracle"),
+                                           ("empirical-sample", "plan"),
+                                           ("mixed-plan", "oracle")])
+def test_problem_refuses_a_field_its_source_does_not_read(source, field):
+    # the source reads its own inputs only: an empirical problem with a plan
+    # would return the unsmoothed optimum
+    s = nr.Sample(np.array([1.0, 2.0, 4.0]))
+    inputs = {"oracle": nr.TwoPoint(0.0, 1.0).oracle(), "sample": s,
+              "plan": nr.SmoothingPlan(frozenset({2}), nr.KernelSpec("uniform"),
+                                       nr.BandwidthSchedule("silverman"))}
+    reads = {"exact-oracle": ("oracle",), "empirical-sample": ("sample",),
+             "mixed-plan": ("sample", "plan")}[source]
+    kwargs = {name: inputs[name] for name in (*reads, field)}
+    with pytest.raises(nr.ConfigError, match=f"take no '{field}'"):
+        nr.ScalarProblem(ho_family(), (0.0, 1.0), source, **kwargs)
+
+
 @pytest.mark.parametrize("J, kernel, dim", [({3}, "uniform", 1), ({2}, "uniform", 2),
                                             ({2}, "gaussian", 2)],
                          ids=["J-beyond-k+1", "uniform-dim-2", "gaussian-dim-2"])
@@ -743,7 +762,7 @@ def test_optimal_value_clt_emerges_at_large_n():
 
     n, R = 20_000, 600
     assert c <= np.sqrt(n)
-    assert nr.check_strong_identity(plan.schedule, p).passes
+    assert nr.check_strong_identity(plan.schedule).passes
     tab = nr.run_replications(estimator, nr.SamplerConfig(law, 0), n, R, seed=15)
     z = np.sqrt(n) * (tab.estimates[:, 0] - theta) / np.sqrt(v)
     assert nr.ks_distance(z, 0.0, 1.0) < 0.08

@@ -1,8 +1,11 @@
 """Print one line per output of the demos and the README's CLI runs.
 
 Runs ``demos/01`` to ``demos/05`` and the command lines of the README's
-command-line section (plus ``simulate`` as JSON and ``optimize``) against
-the package under ``src/`` of a checkout. Every run's stdout is one output,
+command-line section against the package under ``src/`` of a checkout,
+plus runs that reach branches the README's lines do not: ``simulate`` as
+JSON, ``optimize``, ``estimate`` and ``systemic`` on a systemic measure
+with a linear outer, and ``estimate`` of the higher-order measure with a
+uniform kernel (the mixed-plan problem and its variance). Every run's stdout is one output,
 and so is every file it writes through ``--out`` or ``--hist-out``. All
 runs work in a temporary directory, so nothing is written into a tree.
 
@@ -46,6 +49,11 @@ MEASURES = {
                  "outer": {"kind": "mean_semideviation", "kappa": 0.5, "p": 2.0},
                  "components": [{"kind": "higher_order", "c": 20.0, "p": 2.0},
                                 {"kind": "higher_order", "c": 20.0, "p": 2.0}]},
+    "syslin.json": {"kind": "systemic", "weights": [0.25, 0.75],
+                    "outer": {"kind": "linear"},
+                    "components": [{"kind": "higher_order", "c": 20.0, "p": 2.0},
+                                   {"kind": "mean_semideviation", "kappa": 0.5,
+                                    "p": 2.0}]},
 }
 
 # name -> (CLI arguments, files the run writes)
@@ -69,6 +77,14 @@ CLI_RUNS = {
                   "--kernel", "uniform", "--bandwidth", "power:20.6,0.51"], []),
     "check-identity": (["check-identity", "--kernel", "uniform",
                         "--bandwidth", "power:1,0.6", "--order", "2"], []),
+    "estimate-systemic-linear": (["estimate", "--measure", "syslin.json",
+                                  "--law", f"{LAW}*{LAW2}", "--n", "200",
+                                  "--seed", "7"], []),
+    "systemic-linear": (["systemic", "--measure", "syslin.json",
+                         "--law", f"{LAW}*{LAW2}", "--n", "200",
+                         "--replications", "1000", "--seed", "5"], []),
+    "estimate-ho-kernel": (["estimate", "--measure", "ho.json", "--law", LAW,
+                            "--n", "1000", "--seed", "7", "--kernel", "uniform"], []),
 }
 
 # a decimal number, split out of the text around it
