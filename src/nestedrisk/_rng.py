@@ -30,25 +30,35 @@ _S31 = np.uint64(31)
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on a uint64 array (wrapping arithmetic)."""
-    z = (z ^ (z >> _S30)) * _M1
-    z = (z ^ (z >> _S27)) * _M2
-    return z ^ (z >> _S31)
+    """splitmix64 finalizer on a uint64 array, in place (wrapping
+    arithmetic); one scratch array holds the shifts. Returns ``z``."""
+    t = z >> _S30
+    z ^= t
+    z *= _M1
+    z ^= np.right_shift(z, _S27, out=t)
+    z *= _M2
+    z ^= np.right_shift(z, _S31, out=t)
+    return z
 
 
 def counter_uint64(seed: int, start: int, count: int) -> np.ndarray:
     """uint64 stream values for counters start .. start+count-1."""
     seed = int(seed) & _MASK
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        state = np.uint64(seed) + idx * np.uint64(_GAMMA)
-        return _finalize(state)
+    # the state seed + (i + 1) * GAMMA is formed in the counter buffer
+    state = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    state *= np.uint64(_GAMMA)
+    state += np.uint64(seed)
+    return _finalize(state)
 
 
 def counter_uniform(seed: int, start: int, count: int) -> np.ndarray:
     """Uniform(0, 1) doubles, strictly inside the open interval."""
     bits = counter_uint64(seed, start, count)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return u
 
 
 def counter_normal(seed: int, start: int, count: int) -> np.ndarray:

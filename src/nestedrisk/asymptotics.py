@@ -62,12 +62,13 @@ def _sigma(spec: CompositeSpec, x: np.ndarray, chain: EtaChain,
     """
     _check_points(spec, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = _layer_values(spec, x, chain)
+        # centred in place: the block is this call's own
+        dev = _layer_values(spec, x, chain)
         if weights is None:
-            dev = rows - rows.mean(axis=1, keepdims=True)
-            full = dev @ dev.T / rows.shape[1]
+            dev -= dev.mean(axis=1, keepdims=True)
+            full = dev @ dev.T / dev.shape[1]
         else:
-            dev = rows - (rows @ weights)[:, None]
+            dev -= (dev @ weights)[:, None]
             full = (dev * weights) @ dev.T
         full = 0.5 * (full + full.T)
     if not np.all(np.isfinite(full)):

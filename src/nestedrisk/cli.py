@@ -371,6 +371,12 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "n", 1) < 1:
             raise ConfigError("sample size must be >= 1")
+        if getattr(args, "bins", None) is not None:
+            # checked before any replication runs; only a summary reads it
+            if args.fmt == "csv" and not args.hist_out:
+                raise ConfigError("--bins needs a summary: --format json or --hist-out")
+            if args.bins < 1:
+                raise ConfigError("histogram bins must be >= 1")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

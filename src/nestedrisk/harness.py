@@ -63,7 +63,10 @@ class Normal:
             raise ConfigError("normal std must be positive")
 
     def transform(self, u: np.ndarray) -> np.ndarray:
-        return self.mean + self.std * ndtri(u)
+        z = ndtri(u)
+        z *= self.std
+        z += self.mean
+        return z
 
     def moments(self) -> tuple[float, float]:
         return self.mean, self.std ** 2
@@ -89,7 +92,9 @@ class Uniform:
             raise ConfigError("uniform law requires a < b")
 
     def transform(self, u: np.ndarray) -> np.ndarray:
-        return self.a + (self.b - self.a) * u
+        x = (self.b - self.a) * u
+        x += self.a
+        return x
 
     def moments(self) -> tuple[float, float]:
         return 0.5 * (self.a + self.b), (self.b - self.a) ** 2 / 12.0

@@ -6,6 +6,7 @@ from scipy.special import ndtri
 
 import nestedrisk as nr
 from nestedrisk._rng import derive_seed
+from nestedrisk import cli
 from nestedrisk.cli import main
 
 
@@ -395,6 +396,7 @@ def _systemic(outer):
     ["estimate", "--measure", "msd", "--law", _LAW, "--bandwidth", "power:1,0.6"],
     ["simulate", "--measure", "msd", "--law", _LAW, "--smooth-layers", "1"],
     ["estimate", "--measure", "sys", "--law", _LAWS, "--level", "0.95"],
+    ["simulate", "--measure", "msd", "--law", _LAW, "--format", "csv", "--bins", "0"],
 ], ids=["power-bandwidth-arity", "unknown-bandwidth", "smooth-layers-text",
         "compare-product-law", "systemic-scalar-measure", "systemic-law-dimension",
         "optimize-scalar-chain", "estimate-weights-length",
@@ -415,7 +417,7 @@ def _systemic(outer):
         "simulate-msd-4-factor-law", "gaussian-kernel-5-coordinates",
         "measure-key-C", "measure-key-wieghts", "linear-outer-kappa",
         "bandwidth-without-kernel", "smooth-layers-without-kernel",
-        "systemic-estimate-level"])
+        "systemic-estimate-level", "csv-zero-bins"])
 def test_config_error_paths_exit_2(argv, msd_json, ho_json, sys_json, capsys):
     paths = {"msd": msd_json, "ho": ho_json, "sys": sys_json}
     argv = [paths.get(a, a) for a in argv]
@@ -427,17 +429,39 @@ def test_config_error_paths_exit_2(argv, msd_json, ho_json, sys_json, capsys):
     assert err.startswith("configuration error: ")
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--measure", "msd", "--law", _LAW, "--level", "0.9"],
-    ["optimize", "--measure", "ho", "--law", _LAW, "--level", "0.9"],
-    ["estimate", "--measure", "msd", "--law", _LAW, "--format", "csv"],
-], ids=["simulate-level", "optimize-level", "estimate-format"])
-def test_a_flag_the_command_does_not_read_exits_2(argv, msd_json, ho_json):
-    # argparse refuses it: estimate prints no table, a study no interval
+@pytest.mark.parametrize("argv, refused_by", [
+    (["simulate", "--measure", "msd", "--law", _LAW, "--level", "0.9"], "argparse"),
+    (["optimize", "--measure", "ho", "--law", _LAW, "--level", "0.9"], "argparse"),
+    (["estimate", "--measure", "msd", "--law", _LAW, "--format", "csv"], "argparse"),
+    (["simulate", "--measure", "msd", "--law", _LAW, "--format", "csv", "--bins", "5",
+      "--replications", "4"], "library"),
+], ids=["simulate-level", "optimize-level", "estimate-format", "csv-bins"])
+def test_a_flag_the_command_does_not_read_exits_2(argv, refused_by, msd_json, ho_json,
+                                                   capsys):
+    # argparse refuses it: estimate prints no table, a study no interval;
+    # --bins is read only where a summary is built, which a csv table
+    # without --hist-out does not build
     paths = {"msd": msd_json, "ho": ho_json}
-    with pytest.raises(SystemExit) as info:
-        run_cli([paths.get(a, a) for a in argv])
-    assert info.value.code == 2
+    argv = [paths.get(a, a) for a in argv]
+    if refused_by == "argparse":
+        with pytest.raises(SystemExit) as info:
+            run_cli(argv)
+        assert info.value.code == 2
+    else:
+        assert run_cli(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("configuration error: --bins")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_bins_are_checked_before_any_replication(fmt, msd_json, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(cli, "run_replications", unreachable)
+    assert run_cli(["simulate", "--measure", msd_json, "--law", _LAW, "--format", fmt,
+                    "--hist-out", "-", "--bins", "0", "--replications", "4"]) == 2
 
 
 _ONE_COMPONENT = _systemic({"kind": "linear"})

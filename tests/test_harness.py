@@ -1,9 +1,12 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import nestedrisk as nr
-from nestedrisk._rng import derive_seed
+from nestedrisk._rng import counter_uint64, derive_seed
 
 from naive import mean_spec
 
@@ -20,6 +23,58 @@ def test_sampler_determinism_and_prefix():
     assert np.array_equal(a, b)
     c = nr.sample(cfg, 400).data
     assert np.array_equal(a[:400], c)
+
+
+def test_counter_stream_is_splitmix64():
+    # the published splitmix64 outputs for seeds 0 and 1234567
+    assert counter_uint64(0, 0, 3).tolist() == [
+        0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f]
+    assert counter_uint64(1234567, 0, 2).tolist() == [
+        0x599ed017fb08fc85, 0x2c73f08458540fa5]
+
+
+@pytest.mark.parametrize("law, digest", [
+    (nr.Normal(10.0, SQ3),
+     "b3eee8cfb3cbccdf5367495b4a79c899be06fa23a9958764c58edfd94d0c5385"),
+    (nr.Uniform(-1.0, 2.0),
+     "15b2ffe3516bd39c56e15c7a6de56937fc01af5e5ec2cfe2c94edd9ff3137962"),
+    (nr.TwoPoint(0.0, 10.0, 0.3),
+     "aac2b5112d3eadd2bd570aeeb1595f0532d4752369a51737e0c6c7f6a0923031"),
+    (nr.ProductLaw((nr.Normal(10.0, 1.7), nr.Uniform(0.0, 1.0))),
+     "b19d0bb25a43f02b4088cd7b76503127519b043ba39f0094fc98d1f3ada6984a"),
+], ids=["normal", "uniform", "two-point", "product"])
+def test_sample_bytes_are_pinned(law, digest):
+    # the counter-RNG contract: these bytes hold across releases
+    data = nr.sample(nr.SamplerConfig(law, seed=7), 20_000).data
+    assert hashlib.sha256(data.tobytes()).hexdigest() == digest
+
+
+def _traced_peak(fn) -> int:
+    """Bytes traced by tracemalloc at fn's peak, above those live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_working_set_of_a_replication():
+    # a replication's two array-heavy steps at n=20000, in bytes of the
+    # sample (n doubles): the sampler keeps the counter buffer and one
+    # scratch array, and the covariance centres its (3, n) block in place
+    n = 20_000
+    bound = {"sample": 2.5 * 8 * n, "report": 5.5 * 8 * n}
+    cfg = nr.SamplerConfig(nr.Normal(10.0, SQ3), seed=1)
+    spec = nr.make_mean_semideviation(nr.MeasureParams(kappa=0.5, p=2.0))
+    s = nr.sample(cfg, n)
+    e = nr.estimate_empirical(spec, s)
+    nr.asymptotic_report(spec, s, e, level=0.95)
+    peak = {"sample": _traced_peak(lambda: nr.sample(cfg, n)),
+            "report": _traced_peak(lambda: nr.asymptotic_report(spec, s, e,
+                                                                 level=0.95))}
+    assert all(peak[k] <= bound[k] for k in bound), (peak, bound)
 
 
 def test_standard_normal_seed42_bounds():
@@ -208,6 +263,12 @@ def test_summary_requires_two_rows():
     tab = _toy_table([1.0])
     with pytest.raises(nr.ConfigError):
         nr.summarize_distribution(tab, nr.Reference(0.0, 1.0))
+
+
+def test_summary_refuses_zero_bins():
+    # the CLI refuses --bins 0 before it replicates; the library checks too
+    with pytest.raises(nr.ConfigError, match="bins must be >= 1"):
+        nr.summarize_distribution(_toy_table([1.0, 2.0]), nr.Reference(0.0, 1.0), 0)
 
 
 # --- tracked (non-gating) bias-reduction observation -----------------------------------
