@@ -25,15 +25,14 @@ pY = nr.ScalarProblem(fam, (6.0, 47.0), "exact-oracle", oracle=lawY.oracle())
 repX, repY = nr.minimize_scalar(pX), nr.minimize_scalar(pY)
 rho = np.array([repX.theta, repY.theta])
 
-outer = nr.OuterAggregation(kappa=0.5, p=2.0)
-spec = nr.SystemicSpec((0.5, 0.5), outer)
-exact = nr.systemic_value(rho, spec)
+spec = nr.SystemicSpec((0.5, 0.5), kappa=0.5, p=2.0)
+exact = spec.aggregate(rho)
 print(f"component risks: {rho[0]:.4f}, {rho[1]:.4f}")
 print(f"systemic value: {exact:.4f}")
 
 # linear aggregation for contrast
-lin = nr.SystemicSpec(spec.weights, nr.OuterAggregation())
-print(f"linear aggregation would give: {nr.systemic_value(rho, lin):.4f}")
+lin = nr.SystemicSpec(spec.weights)
+print(f"linear aggregation would give: {lin.aggregate(rho):.4f}")
 
 # --- the sampled limit distribution ---------------------------------------------
 
@@ -67,7 +66,7 @@ def sys_estimator(s):
         pb = nr.ScalarProblem(fam, nr.default_bracket(col, C), "mixed-plan",
                               sample=col, plan=plan)
         vals.append(nr.minimize_scalar(pb, flat_check_grid=0).theta)
-    return nr.systemic_value(vals, spec)
+    return spec.aggregate(vals)
 
 
 n, R = 200, 1000

@@ -20,11 +20,10 @@ from .harness import (DistributionSummary, Histogram, Normal, ProductLaw,
                       ks_distance, parse_law, run_replications, sample,
                       summarize_distribution)
 from .measures import (HigherOrderFamily, MeasureConfig, MeasureParams,
-                       OuterAggregation, PortfolioFamily, SystemicLimitSummary,
-                       SystemicSpec, make_higher_order_family,
-                       make_mean_semideviation, make_portfolio_semideviation,
-                       parse_measure, stack_specs, systemic_limit,
-                       systemic_value)
+                       PortfolioFamily, SystemicLimitSummary, SystemicSpec,
+                       make_higher_order_family, make_mean_semideviation,
+                       make_portfolio_semideviation, parse_measure, stack_specs,
+                       systemic_limit)
 from .optimize import (OptimalValueReport, ScalarProblem, default_bracket,
                        minimize_scalar, optimal_value_clt_variance,
                        optimal_value_limit_covariance)

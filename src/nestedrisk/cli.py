@@ -20,16 +20,15 @@ from .asymptotics import (asymptotic_report, confidence_interval,
                           exact_limit_variance)
 from .core import eval_exact_chain
 from .errors import ConfigError, EvaluationError
-from .estimators import (BandwidthSchedule, KernelSpec, Sample, SmoothingPlan,
-                         check_strong_identity, estimate_empirical, estimate_mixed)
+from .estimators import (_KERNEL_FAMILIES, BandwidthSchedule, KernelSpec, Sample,
+                         SmoothingPlan, check_strong_identity, estimate_empirical,
+                         estimate_mixed)
 from .harness import (ProductLaw, Reference, ReplicationTable, SamplerConfig,
                       dumps_json, parse_law, run_replications, sample,
                       summarize_distribution, summary_json)
-from .measures import MeasureConfig, parse_measure, systemic_limit, systemic_value
+from .measures import MeasureConfig, PortfolioFamily, parse_measure, systemic_limit
 from .optimize import (ScalarProblem, default_bracket, minimize_scalar,
                        optimal_value_clt_variance)
-
-_KERNELS = ("uniform", "gaussian", "epanechnikov")
 
 
 def _add_common(p: argparse.ArgumentParser, *, law2: bool = False) -> None:
@@ -44,7 +43,7 @@ def _add_common(p: argparse.ArgumentParser, *, law2: bool = False) -> None:
         p.add_argument("--law2", required=True, help="law of the second sample")
     p.add_argument("--n", type=int, default=200, help="sample size")
     p.add_argument("--seed", type=int, default=0, help="64-bit stream seed")
-    p.add_argument("--kernel", choices=_KERNELS, default=None,
+    p.add_argument("--kernel", choices=_KERNEL_FAMILIES, default=None,
                    help="smooth with this kernel (omit for pure empirical)")
     p.add_argument("--bandwidth", default=None, help="bandwidth schedule (with "
                    "--kernel): 'silverman' (default) or 'power:a,gamma'")
@@ -90,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="draws for the sampled limit distribution")
 
     p = sub.add_parser("check-identity", help="bandwidth schedule validity")
-    p.add_argument("--kernel", choices=_KERNELS, required=True)
+    p.add_argument("--kernel", choices=_KERNEL_FAMILIES, required=True)
     p.add_argument("--bandwidth", required=True,
                    help="'silverman' or 'power:a,gamma'")
     p.add_argument("--order", type=float, default=2.0,
@@ -141,22 +140,20 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _problem(family, c: float, s: Sample, plan) -> ScalarProblem:
+def _problem(family, s: Sample, plan) -> ScalarProblem:
     """The empirical (plan None) or mixed optimal-value problem on s."""
-    return ScalarProblem(family, default_bracket(s, c),
+    return ScalarProblem(family, default_bracket(s, family.c),
                          "empirical-sample" if plan is None else "mixed-plan",
                          sample=s, plan=plan)
 
 
 def _scalar_build(mcfg: MeasureConfig):
     """The family (higher_order) or spec of a scalar pipeline measure."""
-    built = mcfg.build()
-    if mcfg.kind not in ("higher_order", "mean_semideviation",
-                         "portfolio_semideviation"):
+    if mcfg.kind == "systemic":
         raise ConfigError(f"measure kind {mcfg.kind!r} is not a scalar pipeline")
-    if mcfg.kind == "portfolio_semideviation" and mcfg.u is None:
+    if isinstance(mcfg.built, PortfolioFamily):
         raise ConfigError("portfolio measure needs an allocation 'u'")
-    return built
+    return mcfg.built
 
 
 def _estimator(mcfg: MeasureConfig, plan):
@@ -164,8 +161,7 @@ def _estimator(mcfg: MeasureConfig, plan):
     family, the chain value of any other scalar measure."""
     built = _scalar_build(mcfg)
     if mcfg.kind == "higher_order":
-        c = mcfg.params.c
-        return lambda s: minimize_scalar(_problem(built, c, s, plan),
+        return lambda s: minimize_scalar(_problem(built, s, plan),
                                          flat_check_grid=0).theta
     if plan is None:
         return lambda s: float(estimate_empirical(built, s).value[0])
@@ -202,11 +198,11 @@ def _systemic_pieces(mcfg: MeasureConfig, law):
     measure on a law with one coordinate per component."""
     if mcfg.kind != "systemic":
         raise ConfigError("the systemic command needs a systemic measure")
-    ell = len(mcfg.components)
-    if law.dimension != ell:
+    comps, spec = mcfg.built
+    if law.dimension != len(comps):
         raise ConfigError(
-            f"systemic law must have one coordinate per component ({ell})")
-    return mcfg.components, getattr(law, "laws", (law,)), mcfg.systemic
+            f"systemic law must have one coordinate per component ({len(comps)})")
+    return comps, getattr(law, "laws", (law,)), spec
 
 
 def cmd_estimate(args) -> int:
@@ -222,7 +218,7 @@ def cmd_estimate(args) -> int:
     config = {"measure": mcfg.to_json(), "law": repr(law), "n": s.n,
               "seed": args.seed}
     if mcfg.kind == "higher_order":
-        prob = _problem(mcfg.build(), mcfg.params.c, s, plan)
+        prob = _problem(mcfg.built, s, plan)
         rep = minimize_scalar(prob, flat_check_grid=0)
         v = optimal_value_clt_variance(prob, s, rep.u_hat)
         (lo, hi), = confidence_interval(rep.theta, v, s.n, level)
@@ -234,7 +230,7 @@ def cmd_estimate(args) -> int:
     elif systemic:
         comps, _, spec = _systemic_pieces(mcfg, law)
         values = _per_column([_estimator(c, plan) for c in comps])(s)
-        doc = {"value": systemic_value(values, spec),
+        doc = {"value": spec.aggregate(values),
                "components": values,
                "config": config}
     else:
@@ -319,7 +315,7 @@ def cmd_systemic(args) -> int:
 
     values, variances = zip(*(_exact(c, l) for c, l in zip(comps, laws)))
     exact_components = np.array(values)
-    exact_sys = systemic_value(exact_components, spec)
+    exact_sys = spec.aggregate(exact_components)
 
     # delta-method reference variance through the aggregation's directional
     # derivative at the exact component vector (independent components)
@@ -329,7 +325,7 @@ def cmd_systemic(args) -> int:
     columns = _per_column([_estimator(c, plan) for c in comps])
 
     def sys_est(s: Sample) -> float:
-        return systemic_value(columns(s), spec)
+        return spec.aggregate(columns(s))
 
     reference = Reference(exact_sys, lim.variance / args.n)
     table = run_replications(sys_est, SamplerConfig(law, args.seed), args.n,

@@ -16,8 +16,9 @@ uniform-kernel smoothing).
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -41,9 +42,9 @@ class MeasureParams:
     def __post_init__(self):
         if not 0.0 <= self.kappa <= 1.0:
             raise ConfigError("kappa must lie in [0, 1]")
-        if self.p < 1.0:
+        if not self.p >= 1.0:
             raise ConfigError("order p must be >= 1")
-        if self.c <= 1.0:
+        if not self.c > 1.0:
             raise ConfigError("higher-order scale c must exceed 1")
 
 
@@ -88,6 +89,12 @@ class HigherOrderFamily:
     c: float
     p: float
 
+    def __post_init__(self):
+        if not self.c > 1.0:
+            raise ConfigError("higher-order scale c must exceed 1")
+        if not self.p >= 1.0:
+            raise ConfigError("order p must be >= 1")
+
     def __call__(self, u: float) -> CompositeSpec:
         c, p, u = self.c, self.p, float(u)
         if p == 1.0:
@@ -127,6 +134,14 @@ class PortfolioFamily:
     p: float
     m: int
 
+    def __post_init__(self):
+        if not 0.0 <= self.kappa <= 1.0:
+            raise ConfigError("kappa must lie in [0, 1]")
+        if not self.p > 1.0:
+            raise ConfigError("portfolio factory requires p > 1")
+        if not self.m >= 1:
+            raise ConfigError("portfolio dimension must be >= 1")
+
     def __call__(self, u) -> CompositeSpec:
         kappa, p = self.kappa, self.p
         u = np.asarray(u, dtype=float).reshape(-1)
@@ -163,10 +178,6 @@ class PortfolioFamily:
 
 def make_portfolio_semideviation(params: MeasureParams, m: int) -> PortfolioFamily:
     """Portfolio mean-semideviation family over allocations in R^m."""
-    if params.p <= 1.0:
-        raise ConfigError("portfolio factory requires p > 1")
-    if m < 1:
-        raise ConfigError("portfolio dimension must be >= 1")
     return PortfolioFamily(params.kappa, params.p, int(m))
 
 
@@ -175,28 +186,37 @@ def make_portfolio_semideviation(params: MeasureParams, m: int) -> PortfolioFami
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OuterAggregation:
-    """Aggregation of component risks: an outer mean-semideviation on the
-    finite component space, whose kappa = 0 is the linear scalarization."""
+class SystemicSpec:
+    """Aggregation of component risks by an outer mean-semideviation on the
+    finite component space, whose law is the weight vector; its kappa = 0
+    is the linear scalarization <c, rho>."""
 
+    weights: tuple[float, ...]
     kappa: float = 0.0
     p: float = 2.0
 
     def __post_init__(self):
         if not 0.0 <= self.kappa <= 1.0:
             raise ConfigError("outer kappa must lie in [0, 1]")
-        if self.p < 1.0:
+        if not self.p >= 1.0:
             raise ConfigError("outer order p must be >= 1")
+        w = np.asarray(self.weights, dtype=float)
+        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):
+            raise ConfigError("weights must be nonnegative and sum to 1")
 
-    def aggregate(self, weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        """Aggregate component risks; ``rho`` may be (l,) or batched (R, l).
+    def aggregate(self, rho) -> float | np.ndarray:
+        """The systemic value of component risks ``rho``, one per weight:
+        a float for an (l,) vector, an array for a batch (R, l).
 
-        Mean-semideviation outer penalizes components above the weighted
+        The outer mean-semideviation penalizes components above the weighted
         mean: <c, rho> + kappa (sum_i c_i max(0, rho_i - <c, rho>)^p)^(1/p).
         """
         rho = np.asarray(rho, dtype=float)
         batched = rho.ndim == 2
-        r = rho if batched else rho[None, :]
+        r = rho if batched else rho.reshape(1, -1)
+        if r.shape[1] != len(self.weights):
+            raise ConfigError("component estimate vector has wrong length")
+        weights = np.asarray(self.weights, dtype=float)
         mean = r @ weights
         if self.kappa == 0.0:
             out = mean
@@ -204,23 +224,6 @@ class OuterAggregation:
             dev = np.maximum(0.0, r - mean[:, None])
             out = mean + self.kappa * (dev ** self.p @ weights) ** (1.0 / self.p)
         return out if batched else float(out[0])
-
-
-@dataclass(frozen=True)
-class SystemicSpec:
-    """Aggregation weights over the components and the outer measure."""
-
-    weights: tuple[float, ...]
-    outer: OuterAggregation
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):
-            raise ConfigError("weights must be nonnegative and sum to 1")
-
-    @property
-    def weight_vector(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
 
 
 def _identity_layer() -> LayerFn:
@@ -308,14 +311,6 @@ def stack_specs(components: Sequence[CompositeSpec]) -> CompositeSpec:
     return CompositeSpec(int(x_off[-1]), dims, layers)
 
 
-def systemic_value(estimates, spec: SystemicSpec) -> float:
-    """Aggregate component risk values into the systemic risk value."""
-    rho = np.asarray(estimates, dtype=float).reshape(-1)
-    if rho.shape[0] != len(spec.weights):
-        raise ConfigError("component estimate vector has wrong length")
-    return float(spec.outer.aggregate(spec.weight_vector, rho))
-
-
 @dataclass(frozen=True)
 class SystemicLimitSummary:
     """Sampled limit distribution of the systemic estimator error."""
@@ -352,14 +347,13 @@ def systemic_limit(spec: SystemicSpec, limit_cov, value, samples: int,
     z = counter_normal(seed, 0, samples * ell).reshape(samples, ell)
     xi = z @ factor.T
 
-    w = spec.weight_vector
-    if spec.outer.kappa == 0.0:
-        draws = xi @ w
+    if spec.kappa == 0.0:
+        draws = spec.aggregate(xi)
     else:
-        base = float(spec.outer.aggregate(w, rho))
+        base = spec.aggregate(rho)
         norms = np.maximum(np.linalg.norm(xi, axis=1), 1.0)
         t = 1e-6 * max(1.0, float(np.linalg.norm(rho))) / norms
-        bumped = spec.outer.aggregate(w, rho[None, :] + t[:, None] * xi)
+        bumped = spec.aggregate(rho[None, :] + t[:, None] * xi)
         draws = (bumped - base) / t
 
     qs = {q_: float(np.percentile(draws, q_)) for q_ in (5, 25, 50, 75, 95)}
@@ -372,53 +366,24 @@ def systemic_limit(spec: SystemicSpec, limit_cov, value, samples: int,
 
 @dataclass(frozen=True)
 class MeasureConfig:
-    """Parsed declarative measure description (the CLI's exchange format).
+    """A parsed measure document (the CLI's exchange format).
 
-    A systemic measure carries its component configs and its ``systemic``
-    aggregation; its ``params`` are the defaults and unused.
+    ``doc`` is the document with its defaults filled in, which ``to_json``
+    returns; ``built`` is what its kind builds: the spec of a
+    mean-semideviation or of an allocated portfolio, the family of a
+    higher-order measure or of a portfolio without ``u``, and for a
+    systemic measure the pair (component configs, ``SystemicSpec``).
     """
 
-    kind: str
-    params: MeasureParams
-    m: int = 1
-    u: tuple[float, ...] | None = None
-    components: tuple["MeasureConfig", ...] = ()
-    systemic: SystemicSpec | None = None
+    doc: dict
+    built: object = field(compare=False)
 
-    def build(self):
-        """Instantiate the configured object: a spec, a family, or, for a
-        systemic measure, the config itself with its component configs."""
-        if self.kind == "mean_semideviation":
-            return make_mean_semideviation(self.params)
-        if self.kind == "higher_order":
-            return make_higher_order_family(self.params)
-        if self.kind == "portfolio_semideviation":
-            family = make_portfolio_semideviation(self.params, self.m)
-            return family if self.u is None else family(np.asarray(self.u))
-        if self.kind == "systemic":
-            return self
-        raise ConfigError(f"unknown measure kind {self.kind!r}")
+    @property
+    def kind(self) -> str:
+        return self.doc["kind"]
 
     def to_json(self) -> dict:
-        if self.kind == "mean_semideviation":
-            return {"kind": self.kind, "kappa": self.params.kappa, "p": self.params.p}
-        if self.kind == "higher_order":
-            return {"kind": self.kind, "c": self.params.c, "p": self.params.p}
-        if self.kind == "portfolio_semideviation":
-            doc = {"kind": self.kind, "kappa": self.params.kappa,
-                   "p": self.params.p, "m": self.m}
-            if self.u is not None:
-                doc["u"] = list(self.u)
-            return doc
-        if self.kind == "systemic":
-            agg = self.systemic.outer
-            outer = {"kind": "linear"} if agg.kappa == 0.0 else \
-                {"kind": "mean_semideviation", "kappa": agg.kappa, "p": agg.p}
-            return {"kind": self.kind,
-                    "weights": list(self.systemic.weights),
-                    "outer": outer,
-                    "components": [c.to_json() for c in self.components]}
-        raise ConfigError(f"unknown measure kind {self.kind!r}")
+        return copy.deepcopy(self.doc)
 
 
 # the keys a document of each kind reads; an outer document's kind is
@@ -461,39 +426,46 @@ def parse_measure(doc) -> MeasureConfig:
     _check_keys(doc, kind, _KEYS, f"unknown measure kind {kind!r}", "measure")
     try:
         if kind == "mean_semideviation":
-            return MeasureConfig(kind, MeasureParams(
-                kappa=float(doc.get("kappa", 0.5)), p=float(doc.get("p", 2.0))))
+            params = MeasureParams(kappa=float(doc.get("kappa", 0.5)),
+                                   p=float(doc.get("p", 2.0)))
+            return MeasureConfig({"kind": kind, "kappa": params.kappa, "p": params.p},
+                                 make_mean_semideviation(params))
         if kind == "higher_order":
-            return MeasureConfig(kind, MeasureParams(
+            family = make_higher_order_family(MeasureParams(
                 c=float(doc.get("c", 20.0)), p=float(doc.get("p", 2.0))))
+            return MeasureConfig({"kind": kind, "c": family.c, "p": family.p}, family)
         if kind == "portfolio_semideviation":
-            u = doc.get("u")
-            return MeasureConfig(
-                kind,
+            family = make_portfolio_semideviation(
                 MeasureParams(kappa=float(doc.get("kappa", 0.5)),
                               p=float(doc.get("p", 2.0))),
-                m=int(doc.get("m", 1)),
-                u=None if u is None else tuple(float(v) for v in u))
-        outer_doc = doc.get("outer", {})
-        if not isinstance(outer_doc, dict):
+                int(doc.get("m", 1)))
+            norm = {"kind": kind, "kappa": family.kappa, "p": family.p, "m": family.m}
+            if doc.get("u") is None:
+                return MeasureConfig(norm, family)
+            norm["u"] = [float(v) for v in doc["u"]]
+            return MeasureConfig(norm, family(np.asarray(norm["u"])))
+        outer = doc.get("outer", {})
+        if not isinstance(outer, dict):
             raise ConfigError("systemic 'outer' must be an object")
-        _check_keys(outer_doc, outer_doc.get("kind", "linear"), _OUTER_KEYS,
+        _check_keys(outer, outer.get("kind", "linear"), _OUTER_KEYS,
                     "outer kind must be 'linear' or 'mean_semideviation'", "outer")
-        outer = OuterAggregation(kappa=float(outer_doc.get("kappa", 0.0)),
-                                 p=float(outer_doc.get("p", 2.0)))
+        kappa, p = float(outer.get("kappa", 0.0)), float(outer.get("p", 2.0))
         comps = tuple(parse_measure(c) for c in doc.get("components", []))
         if not comps:
             raise ConfigError("systemic measure needs at least one component")
         weights = doc.get("weights")
         if weights is None:
             weights = [1.0 / len(comps)] * len(comps)
-        systemic = SystemicSpec(tuple(float(w) for w in weights), outer)
+        spec = SystemicSpec(tuple(float(w) for w in weights), kappa, p)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid measure parameters: {exc}") from exc
     # only the systemic branch gets here: its weights-length error is not
     # a parameter-parsing error, and reads as SystemicSpec's does
-    if len(systemic.weights) != len(comps):
+    if len(spec.weights) != len(comps):
         raise ConfigError("one weight per component is required")
-    return MeasureConfig(kind, MeasureParams(), components=comps, systemic=systemic)
+    outer = {"kind": "linear"} if spec.kappa == 0.0 else \
+        {"kind": "mean_semideviation", "kappa": spec.kappa, "p": spec.p}
+    return MeasureConfig({"kind": kind, "weights": list(spec.weights), "outer": outer,
+                          "components": [c.doc for c in comps]}, (comps, spec))

@@ -213,14 +213,13 @@ def test_criterion_4b_difference_distribution_ks():
 def _systemic_setup():
     pX, pY = _exact_problem(10.0, 3.0), _exact_problem(20.0, 5.0)
     repX, repY = nr.minimize_scalar(pX), nr.minimize_scalar(pY)
-    outer = nr.OuterAggregation(kappa=0.5, p=2.0)
-    spec = nr.SystemicSpec((0.5, 0.5), outer)
+    spec = nr.SystemicSpec((0.5, 0.5), kappa=0.5, p=2.0)
     return spec, repX, repY
 
 
 def test_criterion_5a_exact_systemic_value():
     spec, repX, repY = _systemic_setup()
-    value = nr.systemic_value([repX.theta, repY.theta], spec)
+    value = spec.aggregate([repX.theta, repY.theta])
     ok = abs(value - 23.3704) <= 2e-3
     assert _report(5, "exact systemic value", ok,
                    f"value={value:.6f} (23.3704 +- 2e-3)")
@@ -233,13 +232,13 @@ def test_criterion_5b_simulated_systemic_mean():
     # the experiment's n the smoothing bias balances the small-sample
     # downward bias of the tail optimum (smoothing as bias reduction).
     spec, repX, repY = _systemic_setup()
-    exact = nr.systemic_value([repX.theta, repY.theta], spec)
+    exact = spec.aggregate([repX.theta, repY.theta])
     plan = _uniform_plan(nr.BandwidthSchedule("power", 20.6, 0.51))
     est = _optimal_value_estimator(plan)
 
     def sys_est(s):
         vals = [est(nr.Sample(s.data[:, i])) for i in range(2)]
-        return nr.systemic_value(vals, spec)
+        return spec.aggregate(vals)
 
     law = nr.ProductLaw((nr.Normal(10.0, SQ3), nr.Normal(20.0, SQ5)))
     n, R = 200, 1000

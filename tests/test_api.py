@@ -14,7 +14,7 @@ PUBLIC_NAMES = [
     "AsymptoticReport", "BandwidthSchedule", "CompositeSpec", "ConfigError",
     "DistributionSummary", "EtaChain", "EvaluationError", "HigherOrderFamily", "Histogram", "IdentityCheck",
     "KernelSpec", "LayerFn", "MeasureConfig", "MeasureParams", "Normal",
-    "OptimalValueReport", "OuterAggregation", "PortfolioFamily",
+    "OptimalValueReport", "PortfolioFamily",
     "PowerMaxForm", "ProductLaw", "QuadratureRule", "Reference",
     "ReplicationTable", "Sample", "SamplerConfig", "ScalarProblem",
     "SmoothingPlan", "SystemicLimitSummary", "SystemicSpec", "TwoPoint",
@@ -28,7 +28,6 @@ PUBLIC_NAMES = [
     "optimal_value_clt_variance", "optimal_value_limit_covariance", "optimize",
     "parse_law", "parse_measure", "propagate_direction", "run_replications",
     "sample", "stack_specs", "summarize_distribution", "systemic_limit",
-    "systemic_value",
 ]
 
 # The values a caller can set: the fields of each public dataclass that its
@@ -46,11 +45,10 @@ SETTABLE_FIELDS = {
                      "detail",
     "KernelSpec": "family dimension moment_order",
     "LayerFn": "evaluator jacobian_eta powermax",
-    "MeasureConfig": "kind params m u components systemic",
+    "MeasureConfig": "doc built",
     "MeasureParams": "kappa p c",
     "Normal": "mean std",
     "OptimalValueReport": "u_hat theta iterations boundary flat",
-    "OuterAggregation": "kappa p",
     "PortfolioFamily": "kappa p m",
     "PowerMaxForm": "power gap unit_slope tail_objective",
     "ProductLaw": "laws",
@@ -62,7 +60,7 @@ SETTABLE_FIELDS = {
     "ScalarProblem": "family bracket objective_source oracle sample plan",
     "SmoothingPlan": "J kernel schedule convolution_nodes",
     "SystemicLimitSummary": "quantiles variance",
-    "SystemicSpec": "weights outer",
+    "SystemicSpec": "weights kappa p",
     "TwoPoint": "x1 x2 w",
     "Uniform": "a b",
 }
@@ -94,7 +92,6 @@ PARAMETERS = {
     "stack_specs": "components",
     "summarize_distribution": "table reference bins coord",
     "systemic_limit": "spec limit_cov value samples seed",
-    "systemic_value": "estimates spec",
     "harness.dumps_json": "obj",
 }
 
@@ -114,6 +111,25 @@ def test_settable_fields_and_parameters_are_pinned():
     params["harness.dumps_json"] = " ".join(
         inspect.signature(nr.harness.dumps_json).parameters)
     assert params == PARAMETERS
+
+
+def test_a_measure_config_holds_only_what_its_kind_reads():
+    # a config is its echo and what its kind built; the echo holds only
+    # keys the kind reads, so no config carries another kind's defaults
+    for doc, built in [
+            ({"kind": "mean_semideviation"}, nr.CompositeSpec),
+            ({"kind": "higher_order"}, nr.HigherOrderFamily),
+            ({"kind": "portfolio_semideviation", "m": 2}, nr.PortfolioFamily),
+            ({"kind": "portfolio_semideviation", "m": 2, "u": [0.5, 0.5]},
+             nr.CompositeSpec)]:
+        cfg = nr.parse_measure(doc)
+        assert isinstance(cfg.built, built)
+        assert doc.keys() <= cfg.doc.keys() <= nr.measures._KEYS[cfg.kind]
+    cfg = nr.parse_measure({"kind": "systemic", "components": [{"kind": "higher_order"}]})
+    assert cfg.doc.keys() == nr.measures._KEYS["systemic"]
+    comps, spec = cfg.built
+    assert isinstance(spec, nr.SystemicSpec)
+    assert [c.doc for c in comps] == cfg.doc["components"]
 
 
 def test_readme_python_block_runs_and_prints_its_commented_values(capsys):

@@ -173,7 +173,7 @@ def test_systemic_runs(sys_json, tmp_path):
         rep = nr.minimize_scalar(prob)
         thetas.append(rep.theta)
         variances.append(nr.optimal_value_clt_variance(prob, None, rep.u_hat))
-    spec = nr.SystemicSpec((0.5, 0.5), nr.OuterAggregation(kappa=0.5, p=2.0))
+    spec = nr.SystemicSpec((0.5, 0.5), kappa=0.5, p=2.0)
     lim = nr.systemic_limit(spec, np.diag(variances), np.array(thetas), 20000, 6)
     assert doc["exact_components"] == thetas
     assert doc["limit_variance"] == lim.variance
@@ -220,10 +220,9 @@ def test_estimate_on_systemic_measure(sys_json, tmp_path):
         prob = nr.ScalarProblem(fam, nr.default_bracket(col, 20.0),
                                 "empirical-sample", sample=col)
         thetas.append(nr.minimize_scalar(prob, flat_check_grid=0).theta)
-    outer = nr.OuterAggregation(kappa=0.5, p=2.0)
-    spec = nr.SystemicSpec((0.5, 0.5), outer)
+    spec = nr.SystemicSpec((0.5, 0.5), kappa=0.5, p=2.0)
     assert doc["components"] == thetas
-    assert doc["value"] == nr.systemic_value(thetas, spec)
+    assert doc["value"] == spec.aggregate(thetas)
 
 
 def test_optimize_runs(ho_json, tmp_path):

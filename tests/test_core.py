@@ -351,10 +351,7 @@ def _three_level_problem():
     lambda: nr.KernelSpec("gaussian", 2, 400.0),
     lambda: nr.ks_distance(np.array([0.0, 1.0]), 0.0, 0.0),
     lambda: nr.stack_specs([]),
-    lambda: nr.systemic_value([1.0], nr.SystemicSpec(
-        (0.5, 0.5), nr.OuterAggregation())),
-    lambda: nr.MeasureConfig("var", nr.MeasureParams()).build(),
-    lambda: nr.MeasureConfig("var", nr.MeasureParams()).to_json(),
+    lambda: nr.SystemicSpec((0.5, 0.5)).aggregate([1.0]),
     lambda: nr.ScalarProblem(_three_levels, (0.0, 1.0), "bootstrap"),
     lambda: nr.optimal_value_clt_variance(_three_level_problem(), None, 0.5),
     lambda: nr.optimal_value_limit_covariance(
@@ -365,8 +362,7 @@ def _three_level_problem():
         "silverman-scale", "silverman-exponent",
         "bandwidth-n-0", "sample-without-rows", "sample-nan",
         "gaussian-moment-order-400", "gaussian-2d-moment-order-400",
-        "ks-zero-variance", "stack-no-components",
-        "systemic-value-length", "measure-kind-build", "measure-kind-json",
+        "ks-zero-variance", "stack-no-components", "systemic-value-length",
         "objective-source", "variance-three-levels", "joint-three-levels"])
 def test_malformed_inputs_raise_config_error(build):
     # the error comes first: no numpy warning (say, a moment's overflow) ahead of it

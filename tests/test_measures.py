@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,23 @@ def test_params_validation():
         nr.MeasureParams(c=1.0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: nr.HigherOrderFamily(0.5, 2.0), "higher-order scale c must exceed 1"),
+    (lambda: nr.HigherOrderFamily(np.nan, 2.0), "higher-order scale c must exceed 1"),
+    (lambda: nr.HigherOrderFamily(20.0, 0.5), "order p must be >= 1"),
+    (lambda: nr.PortfolioFamily(1.5, 2.0, 1), "kappa must lie in [0, 1]"),
+    (lambda: nr.PortfolioFamily(0.5, 1.0, 1), "portfolio factory requires p > 1"),
+    (lambda: nr.PortfolioFamily(0.5, 2.0, 0), "portfolio dimension must be >= 1"),
+], ids=["ho-c-below-1", "ho-c-nan", "ho-p-below-1", "portfolio-kappa",
+        "portfolio-p-1", "portfolio-m-0"])
+def test_families_built_directly_check_their_parameters(build, message):
+    # c <= 1 puts the optimum at the bracket end, p < 1 is no norm, and at
+    # p = 1 the portfolio's layer-2 Jacobian reads 0.0**0 = 1 on every row
+    with pytest.raises(nr.ConfigError) as info:
+        build()
+    assert str(info.value) == message
+
+
 # --- coherence properties on discrete laws ----------------------------------------
 
 def _discrete(xs, ws=None):
@@ -86,7 +105,7 @@ def test_kappa_monotonicity():
 @pytest.mark.xfail(strict=True, reason=(
     "make_mean_semideviation penalizes the lower deviation (eta - x)_+, so "
     "rho[X] = 3.95 > rho[0] = 0 here; the upper semideviation of a loss, "
-    "which OuterAggregation and PortfolioFamily use, gives -0.5025"))
+    "which SystemicSpec.aggregate and PortfolioFamily use, gives -0.5025"))
 def test_mean_semideviation_is_monotone():
     # X <= 0 almost surely, so a monotone measure has rho[X] <= rho[0] = 0
     # (Ogryczak & Ruszczynski 1999, for kappa in [0, 1])
@@ -172,43 +191,45 @@ def test_portfolio_equal_weights_matches_aggregated_normal():
 
 # --- systemic aggregation ------------------------------------------------------------
 
-def outer_msd(kappa=0.5, p=2.0):
-    return nr.OuterAggregation(kappa=kappa, p=p)
-
-
-def _sys_spec(outer, ell=2):
-    return nr.SystemicSpec((1.0 / ell,) * ell, outer)
+def _sys_spec(kappa=0.5, p=2.0, ell=2):
+    """Equal weights over ell components; kappa = 0 is the linear outer."""
+    return nr.SystemicSpec((1.0 / ell,) * ell, kappa, p)
 
 
 def test_systemic_value_symmetric_input():
-    spec = _sys_spec(outer_msd())
-    assert nr.systemic_value([3.3, 3.3], spec) == pytest.approx(3.3, abs=1e-14)
+    assert _sys_spec().aggregate([3.3, 3.3]) == pytest.approx(3.3, abs=1e-14)
 
 
 def test_systemic_value_matches_reported_configuration():
     # weighted mean 21.3189 plus 0.5 * sqrt(0.5 * 5.8026^2) = 23.37045...
-    spec = _sys_spec(outer_msd(0.5, 2.0))
-    val = nr.systemic_value([15.5163, 27.1215], spec)
+    val = _sys_spec(0.5, 2.0).aggregate([15.5163, 27.1215])
     assert val == pytest.approx(23.3704, abs=2e-4)
 
 
 def test_systemic_linear_outer_dot_product():
-    spec = nr.SystemicSpec((0.25, 0.75), nr.OuterAggregation())
-    assert nr.systemic_value([1.0, 3.0], spec) == pytest.approx(2.5, abs=1e-15)
+    spec = nr.SystemicSpec((0.25, 0.75))
+    assert spec.aggregate([1.0, 3.0]) == pytest.approx(2.5, abs=1e-15)
+
+
+def test_systemic_aggregate_of_a_batch_is_the_aggregate_of_each_row():
+    spec = _sys_spec(0.5, 3.0)
+    rho = np.array([[1.7, 9.2], [4.0, 4.0], [9.2, 1.7]])
+    assert spec.aggregate(rho).tolist() == [spec.aggregate(r) for r in rho]
+    with pytest.raises(nr.ConfigError, match="wrong length"):
+        spec.aggregate(np.ones((3, 3)))
 
 
 @pytest.mark.parametrize("weights", [(-0.5, 1.5), (0.5, 0.6), (np.nan, 1.0)],
                          ids=["negative", "sum-1.1", "nan"])
 def test_systemic_spec_rejects_weights_that_are_not_a_law(weights):
     with pytest.raises(nr.ConfigError):
-        nr.SystemicSpec(weights, nr.OuterAggregation())
+        nr.SystemicSpec(weights)
 
 
 def test_systemic_kappa_zero_equals_linear():
-    spec0 = _sys_spec(outer_msd(kappa=0.0))
-    lin = _sys_spec(nr.OuterAggregation())
     rho = [1.7, 9.2]
-    assert nr.systemic_value(rho, spec0) == nr.systemic_value(rho, lin)
+    lin = nr.SystemicSpec((0.5, 0.5))
+    assert _sys_spec(kappa=0.0).aggregate(rho) == lin.aggregate(rho)
 
 
 # --- identity padding / stacked specs -------------------------------------------------
@@ -253,14 +274,14 @@ def test_stacked_exact_limit_covariance_block_diagonal_for_independent():
 # --- systemic_limit ---------------------------------------------------------------------
 
 def test_systemic_limit_linear_standard_normal():
-    spec = nr.SystemicSpec((1.0, 0.0), nr.OuterAggregation())
+    spec = nr.SystemicSpec((1.0, 0.0))
     lim = nr.systemic_limit(spec, np.eye(2), np.array([1.0, 1.0]), 100_000, seed=5)
     assert abs(lim.variance - 1.0) < 0.05
     assert abs(lim.quantiles[50]) < 0.02
 
 
 def test_systemic_limit_degenerate_covariance():
-    spec = _sys_spec(outer_msd())
+    spec = _sys_spec()
     lim = nr.systemic_limit(spec, np.zeros((2, 2)), np.array([1.0, 2.0]), 1000, seed=4)
     assert all(q == pytest.approx(0.0, abs=1e-12) for q in lim.quantiles.values())
 
@@ -276,25 +297,25 @@ def test_systemic_limit_matches_delta_method_gradient():
     cov = np.diag([16.032 ** 2, 20.6972 ** 2])
     expected = float(grad @ cov @ grad)
 
-    spec = _sys_spec(outer_msd(kappa, 2.0))
+    spec = _sys_spec(kappa, 2.0)
     lim = nr.systemic_limit(spec, cov, rho, 200_000, seed=9)
     assert abs(lim.variance / expected - 1.0) < 0.05
 
 
-@pytest.mark.parametrize("outer, cov, samples, value", [
-    (outer_msd(), np.eye(2), 0, [1.0, 2.0]),
-    (outer_msd(), np.eye(3), 100, [1.0, 2.0]),
-    (outer_msd(), np.eye(2), 100, [1.0, 2.0, 3.0]),
+@pytest.mark.parametrize("kappa, cov, samples, value", [
+    (0.5, np.eye(2), 0, [1.0, 2.0]),
+    (0.5, np.eye(3), 100, [1.0, 2.0]),
+    (0.5, np.eye(2), 100, [1.0, 2.0, 3.0]),
     # the linear outer never reads the risk vector, but it must be one
-    (nr.OuterAggregation(), np.eye(2), 100, None),
+    (0.0, np.eye(2), 100, None),
 ], ids=["no-samples", "wrong-shape", "wrong-value-length", "linear-without-value"])
-def test_systemic_limit_rejects_bad_inputs(outer, cov, samples, value):
+def test_systemic_limit_rejects_bad_inputs(kappa, cov, samples, value):
     with pytest.raises(nr.ConfigError):
-        nr.systemic_limit(_sys_spec(outer), cov, value, samples, seed=1)
+        nr.systemic_limit(_sys_spec(kappa), cov, value, samples, seed=1)
 
 
 def test_systemic_limit_rejects_non_psd():
-    spec = _sys_spec(outer_msd())
+    spec = _sys_spec()
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
     with pytest.raises(nr.EvaluationError):
         nr.systemic_limit(spec, bad, np.array([1.0, 2.0]), 100, seed=1)
@@ -312,12 +333,49 @@ def test_measure_json_round_trip():
     assert again.to_json() == cfg.to_json()
 
 
+_MSD = {"kind": "mean_semideviation", "kappa": 0.5, "p": 2.0}
+_HO = {"kind": "higher_order", "c": 20.0, "p": 2.0}
+
+
+@pytest.mark.parametrize("doc, echo", [
+    ({"kind": "mean_semideviation", "p": 3}, {**_MSD, "p": 3.0}),
+    ({"kind": "higher_order", "c": 5}, {**_HO, "c": 5.0}),
+    ({"kind": "portfolio_semideviation", "m": 2, "u": [1, 0]},
+     {"kind": "portfolio_semideviation", "kappa": 0.5, "p": 2.0, "m": 2,
+      "u": [1.0, 0.0]}),
+    ({"kind": "portfolio_semideviation", "kappa": 0.3},
+     {"kind": "portfolio_semideviation", "kappa": 0.3, "p": 2.0, "m": 1}),
+    ({"kind": "systemic", "components": [_HO, {"kind": "mean_semideviation"}]},
+     {"kind": "systemic", "weights": [0.5, 0.5], "outer": {"kind": "linear"},
+      "components": [_HO, _MSD]}),
+    ({"kind": "systemic", "weights": [0.25, 0.75],
+      "outer": {"kind": "mean_semideviation", "kappa": 0.5, "p": 3},
+      "components": [_HO, _HO]},
+     {"kind": "systemic", "weights": [0.25, 0.75],
+      "outer": {"kind": "mean_semideviation", "kappa": 0.5, "p": 3.0},
+      "components": [_HO, _HO]}),
+    ({"kind": "systemic", "outer": {"kind": "mean_semideviation", "p": 3.0},
+      "components": [_HO]},
+     {"kind": "systemic", "weights": [1.0], "outer": {"kind": "linear"},
+      "components": [_HO]}),
+], ids=["msd", "higher-order", "portfolio-u", "portfolio-no-u",
+        "systemic-linear", "systemic-msd", "systemic-msd-kappa-0"])
+def test_measure_json_echo_of_every_kind(doc, echo):
+    # the echo fills every default in, as floats where the kind reads one,
+    # in the key order the CLI prints; parsing it again gives it back
+    cfg = nr.parse_measure(doc)
+    assert json.dumps(cfg.to_json()) == json.dumps(echo)
+    assert nr.parse_measure(cfg.to_json()).to_json() == cfg.to_json()
+    cfg.to_json()["kind"] = "changed"
+    assert cfg.to_json() == echo
+
+
 def test_measure_json_kinds_build():
-    assert nr.parse_measure({"kind": "mean_semideviation"}).build().k == 2
-    fam = nr.parse_measure({"kind": "higher_order", "c": 5.0, "p": 2.0}).build()
+    assert nr.parse_measure({"kind": "mean_semideviation"}).built.k == 2
+    fam = nr.parse_measure({"kind": "higher_order", "c": 5.0, "p": 2.0}).built
     assert fam(1.0).k == 1
     spec = nr.parse_measure({"kind": "portfolio_semideviation", "m": 2,
-                             "u": [0.5, 0.5]}).build()
+                             "u": [0.5, 0.5]}).built
     assert spec.m == 2
 
 
@@ -330,9 +388,6 @@ def test_measure_json_errors():
         nr.parse_measure({"kind": "systemic", "components": []})
     with pytest.raises(nr.ConfigError):
         nr.parse_measure('{"kind": "higher_order", "c": 0.5}')
-
-
-_HO = {"kind": "higher_order", "c": 20.0, "p": 2.0}
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -358,9 +413,16 @@ _HO = {"kind": "higher_order", "c": 20.0, "p": 2.0}
      "measure kind 'higher_order' does not read 'alpha'"),
     ({"kind": "systemic", "components": [{**_HO, "kappa": 0.5}]},
      "measure kind 'higher_order' does not read 'kappa'"),
+    # json.loads reads NaN, and no order or scale check may let it through
+    ('{"kind": "mean_semideviation", "p": NaN}', "order p must be >= 1"),
+    ('{"kind": "higher_order", "c": NaN}', "higher-order scale c must exceed 1"),
+    ('{"kind": "systemic", "outer": {"kind": "mean_semideviation", "kappa": 0.5,'
+     ' "p": NaN}, "components": [{"kind": "higher_order"}]}',
+     "outer order p must be >= 1"),
 ], ids=["outer-kind", "kappa-range", "kappa-text", "component-kappa-text",
         "key-capital-c", "key-misspelled-weights", "key-linear-outer-kappa",
-        "key-default-outer-p", "key-before-conversion", "key-of-a-component"])
+        "key-default-outer-p", "key-before-conversion", "key-of-a-component",
+        "nan-p", "nan-c", "nan-outer-p"])
 def test_measure_errors_keep_the_library_message(doc, message):
     # a ConfigError of the measure's own checks passes through as it is;
     # only a value that fails to convert is wrapped, and only once

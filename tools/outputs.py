@@ -4,8 +4,9 @@ Runs ``demos/01`` to ``demos/05`` and the command lines of the README's
 command-line section against the package under ``src/`` of a checkout,
 plus runs that reach branches the README's lines do not: ``simulate`` as
 JSON, ``optimize``, ``estimate`` and ``systemic`` on a systemic measure
-with a linear outer, and ``estimate`` of the higher-order measure with a
-uniform kernel (the mixed-plan problem and its variance). Every run's stdout is one output,
+with a linear outer, ``estimate`` of the higher-order measure with a
+uniform kernel (the mixed-plan problem and its variance), and ``estimate``
+of an allocated portfolio measure. Every run's stdout is one output,
 and so is every file it writes through ``--out`` or ``--hist-out``. All
 runs work in a temporary directory, so nothing is written into a tree.
 
@@ -85,6 +86,9 @@ CLI_RUNS = {
                          "--replications", "1000", "--seed", "5"], []),
     "estimate-ho-kernel": (["estimate", "--measure", "ho.json", "--law", LAW,
                             "--n", "1000", "--seed", "7", "--kernel", "uniform"], []),
+    "estimate-portfolio": (["estimate", "--measure",
+                            '{"kind": "portfolio_semideviation", "m": 2, "u": [0.5, 0.5]}',
+                            "--law", f"{LAW}*{LAW2}", "--n", "200", "--seed", "7"], []),
 }
 
 # a decimal number, split out of the text around it
