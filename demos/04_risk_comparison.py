@@ -27,8 +27,9 @@ print(f"rho(X) = {repX.theta:.4f}, rho(Y) = {repY.theta:.4f}, "
 print(f"limit sds: {np.sqrt(vX):.4f} and {np.sqrt(vY):.4f}; the (1,-1) "
       f"contrast variance is their sum: {vX + vY:.2f}")
 
-# the same contrast through the limit-covariance API
-cov = nr.optimal_value_limit_covariance([pX, pY], [repX.u_hat, repY.u_hat])
+# the same contrast as a quadratic form: the two positions are independent,
+# so their joint limit covariance is diagonal
+cov = np.diag([vX, vY])
 w = np.array([1.0, -1.0])
 print(f"contrast via block-diagonal covariance: {float(w @ cov @ w):.2f}")
 

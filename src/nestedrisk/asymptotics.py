@@ -7,9 +7,10 @@ chain into matrices C_r, and in the differentiable case
     sqrt(n) (rho_hat - rho)  ->  N(0, C^T Sigma_g C),
 
 with C^T = (I, C_1^T, ..., C_k^T) and C_r^T the product of the first r
-expected Jacobians. ``_limit_cov`` forms it, over a point set: a sample,
-at its own plug-in chain point, or a law's quadrature rule, at the exact
-chain. The variance of a mixed-plan optimal value, with a kernel-smoothed
+expected Jacobians. ``_chain_matrix`` forms C^T, which ``_limit_cov``
+and ``propagate_direction`` both read, over a point set: a sample, at its
+own plug-in chain point, or a law's quadrature rule, at the exact chain.
+The variance of a mixed-plan optimal value, with a kernel-smoothed
 inner mean and covariance, is taken here too.
 """
 
@@ -117,19 +118,25 @@ def _jacobian_means(spec: CompositeSpec, chain: EtaChain, x: np.ndarray,
     return jmeans
 
 
+def _chain_matrix(spec: CompositeSpec, chain: EtaChain, x: np.ndarray,
+                  weights: np.ndarray | None = None) -> np.ndarray:
+    """C^T = (I, C_1^T, ..., C_k^T) at the chain point, with C_r^T =
+    E[J_1] ... E[J_r] the product of the first r expected Jacobians over
+    the point set x; its column blocks match the layer blocks of Sigma_g."""
+    blocks = [np.eye(spec.m0)]
+    for jmean in _jacobian_means(spec, chain, x, weights):
+        blocks.append(blocks[-1] @ jmean)
+    return np.concatenate(blocks, axis=1)
+
+
 def _limit_cov(spec: CompositeSpec, x: np.ndarray, chain: EtaChain,
                weights: np.ndarray | None = None) -> np.ndarray:
     """Limit covariance C^T Sigma_g C over the point set x at the chain
-    point, with C^T = (I, C_1^T, ..., C_k^T) and C_r^T = E[J_1] ... E[J_r].
+    point, with C^T from _chain_matrix.
 
     Raises EvaluationError naming the layer whose expected Jacobian, or
     else whose variance, is non-finite."""
-    running = np.eye(spec.m0)
-    blocks = [running]
-    for jmean in _jacobian_means(spec, chain, x, weights):
-        running = running @ jmean
-        blocks.append(running)
-    ct = np.concatenate(blocks, axis=1)
+    ct = _chain_matrix(spec, chain, x, weights)
     cov = ct @ _sigma(spec, x, chain, weights) @ ct.T
     return 0.5 * (cov + cov.T)
 
@@ -168,24 +175,20 @@ def propagate_direction(spec: CompositeSpec, chain: EtaChain,
     """Propagate a perturbation direction d = (d_1, ..., d_{k+1}) through
     the composition.
 
-    Entry d_j is a constant vector of dimension m_{j-1}. Computes xi_1(d)
-    by the backward recursion xi_{k+1} = d_{k+1},
-    xi_j = E[J_j(eta_{j+1}, X)] xi_{j+1} + d_j, with the expected Jacobians
-    under the oracle; in the differentiable case this is the chain-matrix
-    linearization of the composite at the chain point.
+    Entry d_j is a constant vector of dimension m_{j-1}. Returns
+    xi_1(d) = C^T d = d_1 + C_1^T d_2 + ... + C_k^T d_{k+1}, the
+    chain-matrix linearization of the composite at the chain point, with
+    the expected Jacobians under the oracle.
     """
     if len(direction) != spec.k + 1:
         raise ConfigError(f"direction must have {spec.k + 1} entries")
-    xi = np.asarray(direction[-1], dtype=float).reshape(-1)
-    if xi.shape[0] != spec.dims[-1]:
+    d = [np.asarray(dj, dtype=float).reshape(-1) for dj in direction]
+    if d[-1].shape[0] != spec.dims[-1]:
         raise ConfigError("d_{k+1} has wrong dimension")
-    jmeans = _jacobian_means(spec, chain, oracle.nodes, oracle.weights)
     for j in range(spec.k, 0, -1):
-        dj = np.asarray(direction[j - 1], dtype=float).reshape(-1)
-        if dj.shape[0] != spec.dims[j - 1]:
+        if d[j - 1].shape[0] != spec.dims[j - 1]:
             raise ConfigError(f"direction entry {j} has wrong dimension")
-        xi = jmeans[j - 1] @ xi + dj
-    return xi
+    return _chain_matrix(spec, chain, oracle.nodes, oracle.weights) @ np.concatenate(d)
 
 
 def asymptotic_report(spec: CompositeSpec, sample: Sample, estimate: EtaChain, *,
@@ -205,9 +208,12 @@ def _mixed_plan_variance(spec: CompositeSpec, sample: Sample,
     """Delta-method variance of a mixed-plan optimal value, grad^T Cov grad,
     with the kernel-smoothed inner mean and covariance.
 
-    The second moment is the smoothed mean of the inner layer's outer
-    product, itself a layer; a power-max layer squared is a power-max layer
-    at 2p, so both moments take the same dispatch in _smoothed_layer_mean.
+    Cov is layer 2's alone, which is the limit only when layer 1 does not
+    read x: a layer 1 whose values at the smoothed eta differ across the
+    sample raises ConfigError naming it. The second moment is the smoothed
+    mean of the inner layer's outer product, itself a layer; a power-max
+    layer squared is a power-max layer at 2p, so both moments take the same
+    dispatch in _smoothed_layer_mean.
     """
     h = bandwidth(plan.schedule, sample.n, sample.std_scale())
     inner = spec.layer(2)
@@ -220,6 +226,11 @@ def _mixed_plan_variance(spec: CompositeSpec, sample: Sample,
     squared = replace(inner, evaluator=outer, powermax=None if pm is None
                       else replace(pm, power=2.0 * pm.power))
     mean = _smoothed_layer_mean(spec, 2, None, sample, plan, h)
+    values = _eval_layer(spec, 1, mean, sample.data)
+    if np.any(values != values[0]):
+        raise ConfigError("layer 1 reads x: its values at the smoothed eta differ "
+                          "across the sample, and the mixed-plan variance holds "
+                          "only for a layer 1 constant in x")
     second = _smoothed_layer_mean(replace(spec, layers=(spec.layer(1), squared)),
                                   2, None, sample, plan, h)
     cov = second.reshape(mean.size, mean.size) - np.outer(mean, mean)

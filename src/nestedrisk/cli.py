@@ -57,7 +57,8 @@ def _add_replication(p: argparse.ArgumentParser) -> None:
                    dest="fmt", help="csv: estimates table; json: summary")
     p.add_argument("--replications", type=int, default=1000)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--bins", type=int, default=None, help="histogram bin count")
+    p.add_argument("--bins", type=int, default=None,
+                   help="bin count of the --hist-out histogram")
     p.add_argument("--hist-out", default=None,
                    help="also write the histogram CSV to this path ('-' for stdout)")
 
@@ -343,9 +344,8 @@ def cmd_check_identity(args) -> int:
     kernel = KernelSpec(args.kernel, args.dimension, moment_order=args.order)
     schedule = _parse_bandwidth(args.bandwidth)
     check = check_strong_identity(schedule)
-    doc = {"passes": check.passes, "s2b_ok": check.s2b_ok, "rule": check.rule,
-           "gamma": check.gamma, "exponent_identity": check.exponent_identity,
-           "exponent_s2b": check.exponent_s2b, "detail": check.detail,
+    doc = {"passes": check.passes, "exponent_identity": check.exponent_identity,
+           "detail": check.detail,
            "kernel": {"family": kernel.family, "dimension": kernel.dimension,
                       "m1": kernel.m1, "mp": kernel.mp}}
     _write(args.out, dumps_json(doc))
@@ -368,9 +368,10 @@ def main(argv=None) -> int:
         if getattr(args, "n", 1) < 1:
             raise ConfigError("sample size must be >= 1")
         if getattr(args, "bins", None) is not None:
-            # checked before any replication runs; only a summary reads it
-            if args.fmt == "csv" and not args.hist_out:
-                raise ConfigError("--bins needs a summary: --format json or --hist-out")
+            # checked before any replication runs; only the histogram file
+            # shows the bins
+            if not args.hist_out:
+                raise ConfigError("--bins needs --hist-out")
             if args.bins < 1:
                 raise ConfigError("histogram bins must be >= 1")
         return _COMMANDS[args.command](args)

@@ -389,15 +389,11 @@ class IdentityCheck:
 
     ``exponent_identity`` is the growth exponent e in
     sqrt(n) * max(h_n m1, h_n^p mp) ~ n^e; the check passes iff e < 0.
-    ``exponent_s2b`` is the exponent of n h_n^2.
+    The exponent of n h_n^2 is 2e, so ``passes`` also says n h_n^2 -> 0.
     """
 
     passes: bool
-    s2b_ok: bool
-    rule: str
-    gamma: float
     exponent_identity: float
-    exponent_s2b: float
     detail: str
 
 
@@ -415,13 +411,11 @@ def check_strong_identity(schedule: BandwidthSchedule) -> IdentityCheck:
     """
     gamma = 0.2 if schedule.rule == "silverman" else schedule.exponent
     e_id = 0.5 - gamma
-    e_s2b = 1.0 - 2.0 * gamma
     passes = e_id < 0
-    s2b_ok = e_s2b < 0
     if passes:
         detail = f"sqrt(n) moment bound decays like n^{e_id:g}"
     else:
         detail = f"sqrt(n) moment bound grows like n^{e_id:g}"
     if schedule.rule == "silverman":
         detail += " (silverman: gamma = 1/5 < 1/2)"
-    return IdentityCheck(passes, s2b_ok, schedule.rule, gamma, e_id, e_s2b, detail)
+    return IdentityCheck(passes, e_id, detail)

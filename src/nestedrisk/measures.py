@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import copy
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -405,6 +406,22 @@ def _check_keys(doc: dict, kind, table: dict, unknown: str, what: str) -> None:
         raise ConfigError(f"{what} kind {kind!r} does not read {', '.join(extra)}")
 
 
+def _real(value, key: str) -> float:
+    """A document's number as a float. A bool or a numeric string, which
+    float() would read too, raises ValueError."""
+    number = float(value)
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{key!r} must be a number, got {value!r}")
+    return number
+
+
+def _reals(values, key: str) -> list[float]:
+    """A document's list of numbers as floats; anything else raises ValueError."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{key!r} must be a list of numbers, got {values!r}")
+    return [_real(v, key) for v in values]
+
+
 def parse_measure(doc) -> MeasureConfig:
     """Parse a measure JSON document (dict, JSON text, or file path)."""
     if isinstance(doc, str):
@@ -426,37 +443,39 @@ def parse_measure(doc) -> MeasureConfig:
     _check_keys(doc, kind, _KEYS, f"unknown measure kind {kind!r}", "measure")
     try:
         if kind == "mean_semideviation":
-            params = MeasureParams(kappa=float(doc.get("kappa", 0.5)),
-                                   p=float(doc.get("p", 2.0)))
+            params = MeasureParams(kappa=_real(doc.get("kappa", 0.5), "kappa"),
+                                   p=_real(doc.get("p", 2.0), "p"))
             return MeasureConfig({"kind": kind, "kappa": params.kappa, "p": params.p},
                                  make_mean_semideviation(params))
         if kind == "higher_order":
             family = make_higher_order_family(MeasureParams(
-                c=float(doc.get("c", 20.0)), p=float(doc.get("p", 2.0))))
+                c=_real(doc.get("c", 20.0), "c"), p=_real(doc.get("p", 2.0), "p")))
             return MeasureConfig({"kind": kind, "c": family.c, "p": family.p}, family)
         if kind == "portfolio_semideviation":
+            m = doc.get("m", 1)
+            if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+                raise ValueError(f"'m' must be an integer, got {m!r}")
             family = make_portfolio_semideviation(
-                MeasureParams(kappa=float(doc.get("kappa", 0.5)),
-                              p=float(doc.get("p", 2.0))),
-                int(doc.get("m", 1)))
+                MeasureParams(kappa=_real(doc.get("kappa", 0.5), "kappa"),
+                              p=_real(doc.get("p", 2.0), "p")), int(m))
             norm = {"kind": kind, "kappa": family.kappa, "p": family.p, "m": family.m}
             if doc.get("u") is None:
                 return MeasureConfig(norm, family)
-            norm["u"] = [float(v) for v in doc["u"]]
+            norm["u"] = _reals(doc["u"], "u")
             return MeasureConfig(norm, family(np.asarray(norm["u"])))
         outer = doc.get("outer", {})
         if not isinstance(outer, dict):
             raise ConfigError("systemic 'outer' must be an object")
         _check_keys(outer, outer.get("kind", "linear"), _OUTER_KEYS,
                     "outer kind must be 'linear' or 'mean_semideviation'", "outer")
-        kappa, p = float(outer.get("kappa", 0.0)), float(outer.get("p", 2.0))
+        kappa, p = _real(outer.get("kappa", 0.0), "kappa"), _real(outer.get("p", 2.0), "p")
         comps = tuple(parse_measure(c) for c in doc.get("components", []))
         if not comps:
             raise ConfigError("systemic measure needs at least one component")
         weights = doc.get("weights")
-        if weights is None:
-            weights = [1.0 / len(comps)] * len(comps)
-        spec = SystemicSpec(tuple(float(w) for w in weights), kappa, p)
+        weights = [1.0 / len(comps)] * len(comps) if weights is None \
+            else _reals(weights, "weights")
+        spec = SystemicSpec(tuple(weights), kappa, p)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:

@@ -106,7 +106,8 @@ def _quantile(xs: np.ndarray, q: float) -> float:
 
 @dataclass(frozen=True)
 class OptimalValueReport:
-    """Solver output: minimizer, optimal value, iteration count, flags.
+    """Solver output: minimizer, optimal value, iteration count and whether
+    the minimizer is a bracket end.
 
     ``iterations`` counts the steps of Brent's method, parabolic or
     golden-section, each one objective evaluation after the first; or, on
@@ -118,7 +119,6 @@ class OptimalValueReport:
     theta: float
     iterations: int
     boundary: bool = False
-    flat: bool = False
 
 
 def minimize_scalar(problem: ScalarProblem, tol: float = 1e-8,
@@ -137,8 +137,9 @@ def minimize_scalar(problem: ScalarProblem, tol: float = 1e-8,
     and return the end itself when the optimum is there.
 
     A boundary optimum (objective monotone on the bracket) is reported with
-    ``boundary=True``; a flat optimum (more than 1% of a probe grid within
-    solver tolerance of the minimum) sets ``flat=True``.
+    ``boundary=True``. With ``flat_check_grid`` > 1 the objective is also
+    evaluated on that many evenly spaced points of the bracket, and a grid
+    point lower than the solver's optimum replaces it.
     """
     ev = problem.objective()  # a non-finite value raises, naming the layer
     lo, hi = map(float, problem.bracket)
@@ -153,18 +154,14 @@ def minimize_scalar(problem: ScalarProblem, tol: float = 1e-8,
     boundary = (u_best - lo) <= max(tol, 1e-12 * width) or \
                (hi - u_best) <= max(tol, 1e-12 * width)
 
-    flat = False
     if flat_check_grid and flat_check_grid > 1:
         grid = np.linspace(lo, hi, flat_check_grid)
         vals = np.array([ev(u) for u in grid])
-        close = np.sum(vals <= f_best + tol * max(1.0, abs(f_best)))
-        flat = close > 0.01 * flat_check_grid
         if vals.min() < f_best:
             u_best = float(grid[np.argmin(vals)])
             f_best = float(vals.min())
 
-    return OptimalValueReport(float(u_best), float(f_best), iterations,
-                              bool(boundary), bool(flat))
+    return OptimalValueReport(float(u_best), float(f_best), iterations, bool(boundary))
 
 
 def _brent(ev, lo: float, hi: float, tol: float):
@@ -344,7 +341,8 @@ def optimal_value_clt_variance(problem: ScalarProblem, sample: Sample | None,
     (exact_limit_variance, useful for reference variances); with a sample it
     is the plug-in asymptotic_report, except that a mixed-plan problem
     whose plan smooths layer 2 smooths the inner mean and covariance with
-    that plan. A degenerate tail
+    that plan, which holds only when layer 1 does not read x (ConfigError
+    names layer 1 otherwise). A degenerate tail
     (inner mean zero, so the gradient is singular for p > 1) raises
     EvaluationError naming layer 1.
     """
@@ -360,30 +358,21 @@ def optimal_value_clt_variance(problem: ScalarProblem, sample: Sample | None,
     return float(report.limit_cov[0, 0])
 
 
-def optimal_value_limit_covariance(problems, u_hats, *, samples=None) -> np.ndarray:
-    """Joint limit covariance of several optimal-value estimators.
-
-    With ``samples`` a list of per-component Samples observed independently
-    (or None to use each problem's exact oracle), the covariance is block
-    diagonal. With a single joint Sample whose columns split across the
-    problems (one column per scalar component), it is the plug-in
-    asymptotic_report of the stacked specs, which preserves dependence.
+def optimal_value_limit_covariance(problems, u_hats, sample: Sample) -> np.ndarray:
+    """Joint limit covariance of several optimal-value estimators on one
+    joint sample, whose columns split across the problems' families in
+    order: the plug-in asymptotic_report of the stacked specs
+    family(u_hat), which keeps the dependence between the columns. For
+    independent samples the covariance is the diagonal of the
+    optimal_value_clt_variance values.
     """
     problems = list(problems)
     u_hats = [float(u) for u in u_hats]
     if len(problems) != len(u_hats):
         raise ConfigError("one u_hat per problem is required")
-
-    if samples is None or isinstance(samples, (list, tuple)):
-        per = list(samples) if samples is not None else [None] * len(problems)
-        if len(per) != len(problems):
-            raise ConfigError("one sample per problem is required")
-        return np.diag([optimal_value_clt_variance(pb, sp, u)
-                        for pb, u, sp in zip(problems, u_hats, per)])
-
     specs = [pb.family(u) for pb, u in zip(problems, u_hats)]
     if any(spec.k != 1 for spec in specs):
         raise ConfigError("joint covariance expects 2-level families")
     stacked = stack_specs(specs)
-    return asymptotic_report(stacked, samples,
-                             estimate_empirical(stacked, samples)).limit_cov
+    return asymptotic_report(stacked, sample,
+                             estimate_empirical(stacked, sample)).limit_cov

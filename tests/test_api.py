@@ -41,14 +41,13 @@ SETTABLE_FIELDS = {
     "EtaChain": "eta",
     "HigherOrderFamily": "c p",
     "Histogram": "bin_left bin_right density reference_density",
-    "IdentityCheck": "passes s2b_ok rule gamma exponent_identity exponent_s2b "
-                     "detail",
+    "IdentityCheck": "passes exponent_identity detail",
     "KernelSpec": "family dimension moment_order",
     "LayerFn": "evaluator jacobian_eta powermax",
     "MeasureConfig": "doc built",
     "MeasureParams": "kappa p c",
     "Normal": "mean std",
-    "OptimalValueReport": "u_hat theta iterations boundary flat",
+    "OptimalValueReport": "u_hat theta iterations boundary",
     "PortfolioFamily": "kappa p m",
     "PowerMaxForm": "power gap unit_slope tail_objective",
     "ProductLaw": "laws",
@@ -83,7 +82,7 @@ PARAMETERS = {
     "make_portfolio_semideviation": "params m",
     "minimize_scalar": "problem tol flat_check_grid",
     "optimal_value_clt_variance": "problem sample u_hat",
-    "optimal_value_limit_covariance": "problems u_hats samples",
+    "optimal_value_limit_covariance": "problems u_hats sample",
     "parse_law": "text",
     "parse_measure": "doc",
     "propagate_direction": "spec chain oracle direction",

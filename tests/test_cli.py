@@ -243,12 +243,14 @@ def test_check_identity_outputs(tmp_path):
                     "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["passes"] is True and doc["s2b_ok"] is True
+    assert doc["passes"] is True
+    assert sorted(doc) == ["detail", "exponent_identity", "kernel", "passes"]
     code = run_cli(["check-identity", "--kernel", "uniform",
                     "--bandwidth", "silverman", "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["passes"] is False
+    assert doc["detail"].endswith("(silverman: gamma = 1/5 < 1/2)")
 
 
 def test_config_error_exit_code(msd_json, capsys):
@@ -346,7 +348,7 @@ def _systemic(outer):
     ["systemic", "--measure", _MISMATCH, "--law", _LAWS],
     ["estimate", "--measure", "ho", "--law", _LAW, "--kernel", "uniform",
      "--smooth-layers", "3"],
-    ["simulate", "--measure", "msd", "--law", _LAW, "--bins", "0"],
+    ["simulate", "--measure", "msd", "--law", _LAW, "--hist-out", "-", "--bins", "0"],
     ["estimate", "--measure", _NO_ALLOCATION, "--law", _LAWS],
     ["simulate", "--measure", "sys", "--law", _LAWS],
     ["simulate", "--measure", "ho", "--law", _LAWS],
@@ -395,7 +397,19 @@ def _systemic(outer):
     ["estimate", "--measure", "msd", "--law", _LAW, "--bandwidth", "power:1,0.6"],
     ["simulate", "--measure", "msd", "--law", _LAW, "--smooth-layers", "1"],
     ["estimate", "--measure", "sys", "--law", _LAWS, "--level", "0.95"],
-    ["simulate", "--measure", "msd", "--law", _LAW, "--format", "csv", "--bins", "0"],
+    ["simulate", "--measure", "msd", "--law", _LAW, "--format", "csv",
+     "--hist-out", "-", "--bins", "0"],
+    # a value of the wrong type is refused, not converted
+    ["estimate", "--measure", '{"kind": "portfolio_semideviation", "m": 2.7, '
+     '"u": [0.5, 0.5]}', "--law", _LAWS],
+    ["estimate", "--measure", '{"kind": "portfolio_semideviation", "m": 2, "u": "12"}',
+     "--law", _LAWS],
+    ["systemic", "--measure", json.dumps({"kind": "systemic", "weights": "1",
+                                          "components": [{"kind": "higher_order"}]}),
+     "--law", _LAW],
+    ["estimate", "--measure", '{"kind": "higher_order", "c": "20"}', "--law", _LAW],
+    ["estimate", "--measure", '{"kind": "mean_semideviation", "kappa": true}',
+     "--law", _LAW],
 ], ids=["power-bandwidth-arity", "unknown-bandwidth", "smooth-layers-text",
         "compare-product-law", "systemic-scalar-measure", "systemic-law-dimension",
         "optimize-scalar-chain", "estimate-weights-length",
@@ -416,7 +430,9 @@ def _systemic(outer):
         "simulate-msd-4-factor-law", "gaussian-kernel-5-coordinates",
         "measure-key-C", "measure-key-wieghts", "linear-outer-kappa",
         "bandwidth-without-kernel", "smooth-layers-without-kernel",
-        "systemic-estimate-level", "csv-zero-bins"])
+        "systemic-estimate-level", "csv-zero-bins", "portfolio-m-not-an-integer",
+        "portfolio-u-text", "systemic-weights-text", "higher-order-c-text",
+        "msd-kappa-bool"])
 def test_config_error_paths_exit_2(argv, msd_json, ho_json, sys_json, capsys):
     paths = {"msd": msd_json, "ho": ho_json, "sys": sys_json}
     argv = [paths.get(a, a) for a in argv]
@@ -434,12 +450,14 @@ def test_config_error_paths_exit_2(argv, msd_json, ho_json, sys_json, capsys):
     (["estimate", "--measure", "msd", "--law", _LAW, "--format", "csv"], "argparse"),
     (["simulate", "--measure", "msd", "--law", _LAW, "--format", "csv", "--bins", "5",
       "--replications", "4"], "library"),
-], ids=["simulate-level", "optimize-level", "estimate-format", "csv-bins"])
+    (["simulate", "--measure", "msd", "--law", _LAW, "--bins", "5",
+      "--replications", "4"], "library"),
+], ids=["simulate-level", "optimize-level", "estimate-format", "csv-bins", "json-bins"])
 def test_a_flag_the_command_does_not_read_exits_2(argv, refused_by, msd_json, ho_json,
                                                    capsys):
     # argparse refuses it: estimate prints no table, a study no interval;
-    # --bins is read only where a summary is built, which a csv table
-    # without --hist-out does not build
+    # --bins shapes only the histogram file: a JSON summary prints no
+    # histogram, so without --hist-out the library refuses it
     paths = {"msd": msd_json, "ho": ho_json}
     argv = [paths.get(a, a) for a in argv]
     if refused_by == "argparse":

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,30 +181,54 @@ def test_propagate_rejects_malformed_directions():
             nr.propagate_direction(spec, chain, oracle, d)
 
 
-def test_propagate_inner_unit_direction_matches_finite_difference():
-    # perturbing the innermost layer by a constant eps shifts the value by
-    # roughly E[J1] E[J2] eps; compare against that finite-difference oracle
-    params = nr.MeasureParams(kappa=0.5, p=2.0)
-    spec = nr.make_mean_semideviation(params)
-    oracle = nr.Normal(10.0, np.sqrt(3.0)).oracle()
+def _bumped(spec, j, eps):
+    # layer j's output shifted by the constant eps in every coordinate
+    layer = spec.layer(j)
+    shifted = replace(layer, evaluator=lambda *args: layer.evaluator(*args) + eps,
+                      powermax=None)
+    return replace(spec, layers=spec.layers[:j - 1] + (shifted,) + spec.layers[j:])
+
+
+_MSD = nr.make_mean_semideviation(nr.MeasureParams(kappa=0.5, p=2.0))
+_PROPAGATION_CASES = {
+    "msd": (_MSD, nr.Normal(10.0, np.sqrt(3.0))),
+    # the two-level component is padded with an identity layer outermost
+    "padded": (nr.stack_specs([_MSD, nr.make_higher_order_family(
+        nr.MeasureParams(c=20.0, p=2.0))(22.0)]),
+        nr.ProductLaw((nr.Normal(10.0, np.sqrt(3.0)), nr.Normal(20.0, np.sqrt(5.0))))),
+}
+
+
+@pytest.mark.parametrize("case, j", [(case, j) for case in _PROPAGATION_CASES
+                                     for j in (1, 2, 3)],
+                         ids=[f"{case}-d{j}" for case in _PROPAGATION_CASES
+                              for j in (1, 2, 3)])
+def test_propagate_unit_direction_matches_finite_difference(case, j):
+    # shifting layer j by a constant eps moves the value by about
+    # C_{j-1}^T eps, block j of the chain matrix (the identity for j = 1);
+    # compare that with central differences of the exact chain
+    spec, law = _PROPAGATION_CASES[case]
+    oracle = law.oracle()
     chain = nr.eval_exact_chain(spec, oracle)
-    zero = np.zeros(1)
-    xi = nr.propagate_direction(
-        spec, chain, oracle, (zero, zero, np.array([1.0])))
-
+    direction = [np.zeros(d) for d in spec.dims]
+    direction[j - 1] = np.ones(spec.dims[j - 1])
+    xi = nr.propagate_direction(spec, chain, oracle, direction)
     eps = 1e-6
-    shifted = nr.make_mean_semideviation(params)
-    bumped = CompositeSpec(
-        shifted.m, shifted.dims,
-        shifted.layers[:2] + (LayerFn(lambda x: x[:, 0] + eps),))
-    fd = (nr.eval_exact_chain(bumped, oracle).value[0] - chain.value[0]) / eps
-    assert xi[0] == pytest.approx(fd, rel=1e-5)
+    fd = (nr.eval_exact_chain(_bumped(spec, j, eps), oracle).value
+          - nr.eval_exact_chain(_bumped(spec, j, -eps), oracle).value) / (2.0 * eps)
+    np.testing.assert_allclose(xi, fd, rtol=1e-6)
 
-    # the sample's empirical measure, a rule with weights 1/n, estimates it
+
+def test_propagate_over_a_sample_rule_estimates_the_exact_direction():
+    # the sample's empirical measure, a rule with weights 1/n, estimates
+    # the exact propagation of the innermost direction
+    oracle = nr.Normal(10.0, np.sqrt(3.0)).oracle()
+    chain = nr.eval_exact_chain(_MSD, oracle)
+    direction = (np.zeros(1), np.zeros(1), np.ones(1))
+    xi = nr.propagate_direction(_MSD, chain, oracle, direction)
     s = nr.sample(nr.SamplerConfig(nr.Normal(10.0, np.sqrt(3.0)), 3), 4000)
     sample_rule = nr.QuadratureRule(s.data, np.full(s.n, 1.0 / s.n))
-    xi_n = nr.propagate_direction(spec, chain, sample_rule,
-                                  (zero, zero, np.array([1.0])))
+    xi_n = nr.propagate_direction(_MSD, chain, sample_rule, direction)
     assert xi[0] == pytest.approx(xi_n[0], rel=0.05)
 
 
@@ -355,7 +380,7 @@ def _three_level_problem():
     lambda: nr.ScalarProblem(_three_levels, (0.0, 1.0), "bootstrap"),
     lambda: nr.optimal_value_clt_variance(_three_level_problem(), None, 0.5),
     lambda: nr.optimal_value_limit_covariance(
-        [_three_level_problem()], [0.5], samples=nr.Sample(np.arange(3.0))),
+        [_three_level_problem()], [0.5], nr.Sample(np.arange(3.0))),
 ], ids=["empty-dims", "layer-count", "rule-lengths", "empty-product-law",
         "empty-sample", "product-law-oracle-100^4-nodes",
         "gaussian-kernel-64^5-nodes", "kernel-family", "bandwidth-rule",

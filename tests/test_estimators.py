@@ -484,10 +484,10 @@ def test_kernel_moment_closed_forms():
 
 def test_identity_check_pass_and_fail_exponents():
     ok = nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, 0.6))
-    assert ok.passes and ok.s2b_ok
+    assert ok.passes
     assert ok.exponent_identity == pytest.approx(-0.1)
     bad = nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, 0.2))
-    assert not bad.passes and not bad.s2b_ok
+    assert not bad.passes
     assert bad.exponent_identity == pytest.approx(0.3)
     silver = nr.check_strong_identity(nr.BandwidthSchedule("silverman"))
     assert not silver.passes and silver.exponent_identity == pytest.approx(0.3)
@@ -495,7 +495,7 @@ def test_identity_check_pass_and_fail_exponents():
 
 def test_identity_check_degenerate_huge_gamma_passes():
     check = nr.check_strong_identity(nr.BandwidthSchedule("power", 1.0, 50.0))
-    assert check.passes and check.s2b_ok
+    assert check.passes
 
 
 # --- consistency ---------------------------------------------------------------------

@@ -47,7 +47,7 @@ def test_normal_law_reported_optimum():
     rep = nr.minimize_scalar(exact_problem(10.0, SQ3))
     assert rep.u_hat == pytest.approx(14.5048, abs=1e-3)
     assert rep.theta == pytest.approx(15.5163, abs=1e-3)
-    assert not rep.boundary and not rep.flat
+    assert not rep.boundary
 
 
 def test_solver_never_above_grid_minimum():
@@ -248,6 +248,39 @@ def test_mixed_plan_variance_follows_the_smoothing_set():
                                                                            rel=1e-12)
 
 
+def _reads_x_family(u, c=20.0, p=2.0):
+    # the higher-order layers with x added to layer 1: its limit variance
+    # adds Var(x) + 2 g Cov(x, f2) to the layer-2 term
+    def f1(eta, x):
+        return u + x[:, 0] + c * eta[0] ** (1.0 / p)
+
+    def f1_jac(eta, x):
+        return np.full((x.shape[0], 1, 1), (c / p) * eta[0] ** (1.0 / p - 1.0))
+
+    inner = ho_family(c, p)(u).layer(2)
+    return nr.CompositeSpec(1, (1, 1), (nr.LayerFn(f1, f1_jac), inner))
+
+
+def test_mixed_plan_variance_refuses_a_layer_one_that_reads_x():
+    # as h -> 0 the mixed-plan variance must approach the plug-in one; the
+    # layer-2 term alone does so only for a layer 1 constant in x
+    s = nr.sample(nr.SamplerConfig(nr.Normal(10.0, SQ3), 1), 5000)
+    plan = nr.SmoothingPlan(frozenset({2}), nr.KernelSpec("gaussian", 1, 2.0),
+                            nr.BandwidthSchedule("power", 1e-9, 1e-12))
+
+    def variance(family, source):
+        extra = {"plan": plan} if source == "mixed-plan" else {}
+        prob = nr.ScalarProblem(family, (0.0, 40.0), source, sample=s, **extra)
+        return nr.optimal_value_clt_variance(prob, s, 13.0)
+
+    assert variance(ho_family(), "mixed-plan") == \
+        pytest.approx(variance(ho_family(), "empirical-sample"), rel=1e-9)
+    assert variance(_reads_x_family, "empirical-sample") == pytest.approx(377.2683,
+                                                                          abs=1e-4)
+    with pytest.raises(nr.ConfigError, match="layer 1 reads x"):
+        variance(_reads_x_family, "mixed-plan")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_variance_degenerate_tail_raises():
     fam = ho_family()
@@ -275,8 +308,7 @@ def test_degenerate_tail_raises_at_layer_one(source):
             nr.optimal_value_clt_variance(mixed, s, 200.0)
         else:
             joint = nr.Sample(np.stack([s.data[:, 0], s.data[:, 0] + 1.0], axis=1))
-            nr.optimal_value_limit_covariance([prob, prob], [12.0, 200.0],
-                                              samples=joint)
+            nr.optimal_value_limit_covariance([prob, prob], [12.0, 200.0], joint)
     assert info.value.layer == 1
 
 
@@ -285,28 +317,33 @@ def test_joint_covariance_block_diagonal_and_joint():
     probY = exact_problem(20.0, np.sqrt(5.0))
     uX = nr.minimize_scalar(probX).u_hat
     uY = nr.minimize_scalar(probY).u_hat
-    cov = nr.optimal_value_limit_covariance([probX, probY], [uX, uY])
-    assert cov[0, 1] == 0.0
-    assert np.sqrt(cov[0, 0]) == pytest.approx(16.032, abs=0.05)
+    # for independent components the covariance is the diagonal of the
+    # exact variances
+    assert np.sqrt(nr.optimal_value_clt_variance(probX, None, uX)) == \
+        pytest.approx(16.032, abs=0.05)
 
-    # joint-sample version on independent columns has a small off-diagonal
+    # the joint sample's plug-in on independent columns has a small
+    # off-diagonal, and its diagonal is each column's own plug-in variance
     rng = np.random.default_rng(3)
     joint = nr.Sample(np.stack([rng.normal(10, SQ3, 4000),
                                 rng.normal(20, np.sqrt(5.0), 4000)], axis=1))
-    cov2 = nr.optimal_value_limit_covariance([probX, probY], [uX, uY],
-                                             samples=joint)
+    cov2 = nr.optimal_value_limit_covariance([probX, probY], [uX, uY], joint)
     assert abs(cov2[0, 1]) < 0.25 * np.sqrt(cov2[0, 0] * cov2[1, 1])
+    for i, (prob, u) in enumerate([(probX, uX), (probY, uY)]):
+        col = nr.Sample(joint.data[:, i])
+        assert cov2[i, i] == pytest.approx(
+            nr.optimal_value_clt_variance(prob, col, u), rel=1e-12)
 
 
 def test_joint_covariance_needs_one_u_hat_and_one_sample_per_problem():
-    # three problems and two minimizers or two samples: no component is
-    # silently dropped
+    # three problems and two minimizers, or a joint sample with two
+    # problems' columns: no component is silently dropped
     prob = exact_problem(10.0, SQ3)
-    s = nr.Sample(np.random.default_rng(6).normal(10.0, SQ3, 200))
+    s = nr.Sample(np.random.default_rng(6).normal(10.0, SQ3, (200, 2)))
     with pytest.raises(nr.ConfigError, match="one u_hat per problem"):
-        nr.optimal_value_limit_covariance([prob] * 3, [12.0] * 2)
-    with pytest.raises(nr.ConfigError, match="one sample per problem"):
-        nr.optimal_value_limit_covariance([prob] * 3, [12.0] * 3, samples=[s, s])
+        nr.optimal_value_limit_covariance([prob] * 3, [12.0] * 2, s)
+    with pytest.raises(nr.ConfigError, match="dimension 2 does not match spec dimension 3"):
+        nr.optimal_value_limit_covariance([prob] * 3, [12.0] * 3, s)
 
 
 def test_joint_covariance_matches_gradient_congruence():
@@ -323,7 +360,7 @@ def test_joint_covariance_matches_gradient_congruence():
     dev = f2 - eta
     expected = np.outer(g, g) * (dev.T @ dev / x.shape[0])
     prob = exact_problem(10.0, SQ3, c=c, p=p)
-    cov = nr.optimal_value_limit_covariance([prob, prob], u, samples=nr.Sample(x))
+    cov = nr.optimal_value_limit_covariance([prob, prob], u, nr.Sample(x))
     np.testing.assert_allclose(cov, expected, rtol=1e-12)
     assert cov[0, 1] > 0.1 * np.sqrt(cov[0, 0] * cov[1, 1])
 
@@ -458,7 +495,6 @@ def test_flat_check_grid_evaluates_the_public_objective_after_newton():
     plan = nr.SmoothingPlan(frozenset({2}), UNIFORM, SCHEDULES["silverman"])
     bracket = nr.default_bracket(s, 20.0)
     newton, brent = newton_and_brent(ho_family(), bracket, s, plan)
-    assert not newton.flat and not brent.flat
     assert_agrees_with_brent(newton, brent, bracket)
     fn = nr.ScalarProblem(ho_family(), bracket, "mixed-plan", sample=s,
                           plan=plan).objective()

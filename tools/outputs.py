@@ -5,8 +5,9 @@ command-line section against the package under ``src/`` of a checkout,
 plus runs that reach branches the README's lines do not: ``simulate`` as
 JSON, ``optimize``, ``estimate`` and ``systemic`` on a systemic measure
 with a linear outer, ``estimate`` of the higher-order measure with a
-uniform kernel (the mixed-plan problem and its variance), and ``estimate``
-of an allocated portfolio measure. Every run's stdout is one output,
+uniform kernel (the mixed-plan problem and its variance), ``estimate``
+of an allocated portfolio measure, and ``check-identity`` of the Silverman
+schedule (the failing verdict). Every run's stdout is one output,
 and so is every file it writes through ``--out`` or ``--hist-out``. All
 runs work in a temporary directory, so nothing is written into a tree.
 
@@ -78,6 +79,8 @@ CLI_RUNS = {
                   "--kernel", "uniform", "--bandwidth", "power:20.6,0.51"], []),
     "check-identity": (["check-identity", "--kernel", "uniform",
                         "--bandwidth", "power:1,0.6", "--order", "2"], []),
+    "check-identity-silverman": (["check-identity", "--kernel", "uniform",
+                                  "--bandwidth", "silverman"], []),
     "estimate-systemic-linear": (["estimate", "--measure", "syslin.json",
                                   "--law", f"{LAW}*{LAW2}", "--n", "200",
                                   "--seed", "7"], []),
